@@ -120,6 +120,11 @@ struct RenderScratch
     ArenaVector<std::size_t> geom_counts; ///< tris written per chunk
     ArenaVector<DrawStats> geom_stats;    ///< per chunk
 
+    /** This thread's surface cache (not arena-backed; beginDraw() leaves
+     *  it alone). Frame simulations take their render targets and
+     *  sub-images from it and give them back when they finish. */
+    SurfaceCache surfaces;
+
     /**
      * Start a draw: invalidate the previous draw's transients and rebind
      * every vector to the rewound arena. Must not run while any pool

@@ -1,5 +1,8 @@
 #include "gfx/surface.hh"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 
 #include "util/check.hh"
@@ -43,7 +46,15 @@ frameHash(const Image &img)
 std::uint64_t
 Surface::contentHash() const
 {
-    std::uint64_t h = frameHash(img);
+    return contentHashFrom(frameHash(img));
+}
+
+std::uint64_t
+Surface::contentHashFrom(std::uint64_t frame_hash) const
+{
+    CHOPIN_DCHECK(frame_hash == frameHash(img),
+                  "contentHashFrom() needs frameHash(color())");
+    std::uint64_t h = frame_hash;
     if (!depth.empty())
         h = fnv1a(h, depth.data(), depth.size() * sizeof(float));
     if (!written.empty())
@@ -68,6 +79,112 @@ Surface::clear(const Color &c, float z)
     std::fill(lastWriter.begin(), lastWriter.end(), noWriter);
     std::fill(written.begin(), written.end(), 0);
     std::fill(stencil.begin(), stencil.end(), 0);
+}
+
+void
+Surface::clearRect(const PixelRect &r, const Color &c, float z)
+{
+    CHOPIN_DCHECK(r.x0 >= 0 && r.y0 >= 0 && r.x1 < width() &&
+                      r.y1 < height(),
+                  "clearRect outside the ", width(), "x", height(),
+                  " surface");
+    if (r.empty())
+        return;
+    std::size_t n = static_cast<std::size_t>(r.x1 - r.x0 + 1);
+    for (int y = r.y0; y <= r.y1; ++y) {
+        std::size_t i = idx(r.x0, y);
+        std::fill_n(img.data().begin() + i, n, c);
+        std::fill_n(depth.begin() + i, n, z);
+        std::fill_n(lastWriter.begin() + i, n, noWriter);
+        std::fill_n(written.begin() + i, n, 0);
+        std::fill_n(stencil.begin() + i, n, 0);
+    }
+}
+
+namespace
+{
+
+/** Whether @p s is bit-for-bit in Surface(w, h) state (a full scan, for
+ *  DCHECKs only). */
+bool
+isPristine(const Surface &s)
+{
+    using ColorBits = std::array<std::uint32_t, 4>;
+    const ColorBits blank = std::bit_cast<ColorBits>(Color());
+    const std::uint32_t far = std::bit_cast<std::uint32_t>(1.0f);
+    for (int y = 0; y < s.height(); ++y) {
+        for (int x = 0; x < s.width(); ++x) {
+            if (std::bit_cast<ColorBits>(s.color().at(x, y)) != blank ||
+                std::bit_cast<std::uint32_t>(s.depthAt(x, y)) != far ||
+                s.writerAt(x, y) != noWriter || s.writtenAt(x, y) ||
+                s.stencilAt(x, y) != 0)
+                return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+Surface
+SurfaceCache::pop(std::vector<Surface> &from)
+{
+    Surface s = std::move(from.back());
+    from.pop_back();
+    return s;
+}
+
+void
+SurfaceCache::resize(int w, int h)
+{
+    if (w == width && h == height)
+        return;
+    clean.clear();
+    dirty.clear();
+    width = w;
+    height = h;
+}
+
+Surface
+SurfaceCache::take(int w, int h)
+{
+    resize(w, h);
+    if (!clean.empty())
+        return pop(clean);
+    if (dirty.empty())
+        return Surface(w, h);
+    Surface s = pop(dirty);
+    s.clear(Color(), 1.0f);
+    return s;
+}
+
+Surface
+SurfaceCache::takeAny(int w, int h)
+{
+    resize(w, h);
+    if (!dirty.empty())
+        return pop(dirty);
+    if (!clean.empty())
+        return pop(clean);
+    return Surface(w, h);
+}
+
+void
+SurfaceCache::give(Surface &&s)
+{
+    if (s.width() != width || s.height() != height)
+        return;
+    CHOPIN_DCHECK(isPristine(s), "surface given back to the cache is not in "
+                                 "Surface(w, h) state");
+    clean.push_back(std::move(s));
+}
+
+void
+SurfaceCache::giveAny(Surface &&s)
+{
+    if (s.width() != width || s.height() != height)
+        return;
+    dirty.push_back(std::move(s));
 }
 
 Color

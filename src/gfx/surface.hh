@@ -33,6 +33,7 @@ class Surface
 {
   public:
     Surface() = default;
+    /** A w x h surface in the state clear(Color(), 1.0f) leaves. */
     Surface(int w, int h);
 
     int width() const { return img.width(); }
@@ -40,6 +41,10 @@ class Surface
 
     /** Reset color to @p c, depth to @p z, writers to none. */
     void clear(const Color &c, float z);
+
+    /** clear() restricted to the pixels of inclusive rectangle @p r, which
+     *  must lie inside the surface. */
+    void clearRect(const PixelRect &r, const Color &c, float z);
 
     const Image &color() const { return img; }
     Image &color() { return img; }
@@ -73,6 +78,14 @@ class Surface
      */
     std::uint64_t contentHash() const;
 
+    /**
+     * contentHash() for a caller that already holds
+     * @p frame_hash == frameHash(color()): continues that FNV-1a stream
+     * over the depth and written bytes instead of hashing the color image
+     * a second time.
+     */
+    std::uint64_t contentHashFrom(std::uint64_t frame_hash) const;
+
   private:
     std::size_t
     idx(int x, int y) const
@@ -85,6 +98,62 @@ class Surface
     std::vector<DrawId> lastWriter;
     std::vector<std::uint8_t> written;
     std::vector<std::uint8_t> stencil;
+};
+
+/**
+ * A per-thread cache of surfaces, so that back-to-back frame simulations
+ * reuse their render targets and CHOPIN sub-images instead of paging in
+ * and filling fresh memory for each run.
+ *
+ * Ownership and retention rules:
+ *  - the cache owns what it holds; take() and takeAny() move a surface
+ *    out to the caller, give() and giveAny() move it back;
+ *  - take() hands out a surface in Surface(w, h) state, and give() takes
+ *    back only a surface in that state (sub-images, which CHOPIN resets
+ *    over touched tiles and so must start from a known value);
+ *  - takeAny() and giveAny() skip that reset for a caller that clears the
+ *    whole surface before use anyway (render targets): takeAny() prefers
+ *    such a surface, and take() clears one before handing it out when it
+ *    holds nothing else;
+ *  - the cache is keyed by size: a take of another size drops every
+ *    cached surface, and a give drops a surface of any other size — in
+ *    particular one whose color image was moved out (it reports 0x0);
+ *  - simulations on one thread run one after another and give back at
+ *    most the surfaces they took, so the cache never holds more surfaces
+ *    than the largest simulation since the last size change took.
+ *
+ * Thread-private: the one instance per thread lives in the renderer's
+ * thread-local scratch (threadRenderScratch().surfaces, gfx/renderer.hh).
+ */
+class SurfaceCache
+{
+  public:
+    /** A w x h surface in Surface(w, h) state. */
+    Surface take(int w, int h);
+
+    /** A w x h surface in unspecified state. */
+    Surface takeAny(int w, int h);
+
+    /** Hand back @p s, which must be in Surface(w, h) state. */
+    void give(Surface &&s);
+
+    /** Hand back @p s in any state. */
+    void giveAny(Surface &&s);
+
+    /** Number of surfaces currently held. */
+    std::size_t size() const { return clean.size() + dirty.size(); }
+
+  private:
+    /** Switch to size w x h, dropping every surface of the old size. */
+    void resize(int w, int h);
+
+    /** Move the last surface out of @p from. */
+    static Surface pop(std::vector<Surface> &from);
+
+    int width = 0;
+    int height = 0;
+    std::vector<Surface> clean; ///< in Surface(w, h) state
+    std::vector<Surface> dirty; ///< in any state
 };
 
 /** Apply blend operator @p op: @p src over/into @p dst (both straight RGBA

@@ -15,6 +15,8 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "comp/operators.hh"
 #include "gfx/renderer.hh"
@@ -35,14 +37,29 @@ namespace chopin
 namespace
 {
 
+/** Bitwise equality (tells -0.0 from 0.0 and matches NaN payloads). */
+template <typename T>
+bool
+sameBits(const T &a, const T &b)
+{
+    using Bytes = std::array<unsigned char, sizeof(T)>;
+    return std::bit_cast<Bytes>(a) == std::bit_cast<Bytes>(b);
+}
+
 /** Per-run state for the CHOPIN scheme. */
 struct ChopinRun
 {
     SimContext &ctx;
     const ChopinOptions &opts;
     DrawCommandScheduler sched;
+    /** Per-GPU sub-images, taken from the thread's surface cache. */
     std::vector<Surface> subs;
+    /** Per sub-image, the tiles it has written since its last reset. */
     std::vector<std::vector<std::uint8_t>> sub_touched;
+    /** The value every sub-image was last reset to; a cached surface
+     *  arrives in Surface(w, h) state, which is this default. */
+    Color sub_clear_color;
+    float sub_clear_depth = 1.0f;
     Tick t = 0;
     /** Epoch-parallel timing opted in and usable for this run (real links,
      *  more than one GPU); see sfr/epoch_compose.hh. */
@@ -53,13 +70,59 @@ struct ChopinRun
           sched(ctx.pipes, opts.policy, ctx.cfg.sched_update_tris),
           use_epoch(epochTimingEligible(ctx.cfg, ctx.net.params()))
     {
+        SurfaceCache &cache = threadRenderScratch().surfaces;
         subs.reserve(ctx.cfg.num_gpus);
         sub_touched.resize(ctx.cfg.num_gpus);
         for (unsigned g = 0; g < ctx.cfg.num_gpus; ++g) {
-            subs.emplace_back(ctx.vp.width, ctx.vp.height);
+            subs.push_back(cache.take(ctx.vp.width, ctx.vp.height));
             sub_touched[g].assign(
                 static_cast<std::size_t>(ctx.grid.tileCount()), 0);
         }
+    }
+
+    /**
+     * Reset every sub-image to color @p c and depth @p z (no writer,
+     * unwritten, stencil 0) and clear its touched-tile flags.
+     *
+     * Touched-tile invariant: renderDraw flags the tile of every fragment
+     * it writes, and Surface::applyFragment changes a pixel only on that
+     * written path, so every pixel that differs from the last reset value
+     * lies in a tile flagged since that reset. When (@p c, @p z) equals
+     * that value bit for bit, clearing just the flagged tiles restores the
+     * whole sub-image. Any other value — reversed-Z groups clear depth to
+     * 0, Multiply groups clear color to 1s — takes a full clear.
+     */
+    void
+    resetSubs(const Color &c, float z)
+    {
+        bool same = sameBits(c, sub_clear_color) &&
+                    sameBits(z, sub_clear_depth);
+        // Per-GPU fan-out: worker g writes only subs[g] and its flags.
+        const TileGrid &grid = ctx.grid;
+        globalPool().parallelFor(subs.size(), [&](std::size_t g) {
+            if (same) {
+                for (int tile = 0; tile < grid.tileCount(); ++tile)
+                    if (sub_touched[g][tile])
+                        subs[g].clearRect(grid.tileRect(tile), c, z);
+            } else {
+                subs[g].clear(c, z);
+            }
+            std::fill(sub_touched[g].begin(), sub_touched[g].end(), 0);
+        });
+        sub_clear_color = c;
+        sub_clear_depth = z;
+    }
+
+    /** Give the sub-images back to the thread's surface cache in
+     *  Surface(w, h) state. */
+    void
+    releaseSubs()
+    {
+        resetSubs(Color(), 1.0f);
+        SurfaceCache &cache = threadRenderScratch().surfaces;
+        for (Surface &sub : subs)
+            cache.give(std::move(sub));
+        subs.clear();
     }
 
     DrawInput
@@ -144,10 +207,7 @@ struct ChopinRun
                     continue;
                 GpuId owner = ctx.grid.ownerOfTile(
                     tile % ctx.grid.tilesX(), tile / ctx.grid.tilesX());
-                int tx0 = (tile % ctx.grid.tilesX()) * ctx.grid.tileSize();
-                int ty0 = (tile / ctx.grid.tilesX()) * ctx.grid.tileSize();
-                int tx1 = std::min(tx0 + ctx.grid.tileSize(), ctx.vp.width);
-                int ty1 = std::min(ty0 + ctx.grid.tileSize(), ctx.vp.height);
+                PixelRect r = ctx.grid.tileRect(tile);
                 std::uint64_t px = 0;
                 switch (payload) {
                   case CompPayload::FullTiles:
@@ -155,15 +215,15 @@ struct ChopinRun
                         ctx.grid.pixelsInTile(tile));
                     break;
                   case CompPayload::WrittenPixels:
-                    for (int y = ty0; y < ty1; ++y)
-                        for (int x = tx0; x < tx1; ++x)
+                    for (int y = r.y0; y <= r.y1; ++y)
+                        for (int x = r.x0; x <= r.x1; ++x)
                             px += subs[g].writtenAt(x, y) ? 1 : 0;
                     break;
                   case CompPayload::SubTiles:
-                    for (int sy = ty0; sy < ty1; sy += sub) {
-                        for (int sx = tx0; sx < tx1; sx += sub) {
-                            int ex = std::min(sx + sub, tx1);
-                            int ey = std::min(sy + sub, ty1);
+                    for (int sy = r.y0; sy <= r.y1; sy += sub) {
+                        for (int sx = r.x0; sx <= r.x1; sx += sub) {
+                            int ex = std::min(sx + sub, r.x1 + 1);
+                            int ey = std::min(sy + sub, r.y1 + 1);
                             bool any = false;
                             for (int y = sy; y < ey && !any; ++y)
                                 for (int x = sx; x < ex && !any; ++x)
@@ -195,10 +255,7 @@ struct ChopinRun
         float clear_z =
             (group.depth_test && !prefersSmaller(group.depth_func)) ? 0.0f
                                                                     : 1.0f;
-        for (unsigned g = 0; g < n; ++g) {
-            subs[g].clear(Color(), clear_z);
-            std::fill(sub_touched[g].begin(), sub_touched[g].end(), 0);
-        }
+        resetSubs(Color(), clear_z);
 
         Tick group_start = t;
         for (std::uint32_t i = group.first_draw; i <= group.last_draw; ++i) {
@@ -256,16 +313,9 @@ struct ChopinRun
                     if (!sub_touched[g][tile])
                         continue;
                     dirty[tile] = 1;
-                    int tx0 =
-                        (tile % ctx.grid.tilesX()) * ctx.grid.tileSize();
-                    int ty0 =
-                        (tile / ctx.grid.tilesX()) * ctx.grid.tileSize();
-                    int tx1 =
-                        std::min(tx0 + ctx.grid.tileSize(), ctx.vp.width);
-                    int ty1 =
-                        std::min(ty0 + ctx.grid.tileSize(), ctx.vp.height);
-                    for (int y = ty0; y < ty1; ++y) {
-                        for (int x = tx0; x < tx1; ++x) {
+                    PixelRect r = ctx.grid.tileRect(tile);
+                    for (int y = r.y0; y <= r.y1; ++y) {
+                        for (int x = r.x0; x <= r.x1; ++x) {
                             if (!subs[g].writtenAt(x, y))
                                 continue;
                             OpaquePixel in{subs[g].color().at(x, y),
@@ -293,10 +343,7 @@ struct ChopinRun
     {
         unsigned n = ctx.cfg.num_gpus;
         BlendOp op = group.blend_op;
-        for (unsigned g = 0; g < n; ++g) {
-            subs[g].clear(transparentIdentity(op), 1.0f);
-            std::fill(sub_touched[g].begin(), sub_touched[g].end(), 0);
-        }
+        resetSubs(transparentIdentity(op), 1.0f);
 
         // Contiguous equal-triangle chunks preserve the input order:
         // GPU g renders draws strictly earlier than GPU g+1 (Fig. 7).
@@ -424,12 +471,9 @@ struct ChopinRun
                 if (!touched)
                     return;
                 dirty[tile] = 1;
-                int tx0 = (tile % ctx.grid.tilesX()) * ctx.grid.tileSize();
-                int ty0 = (tile / ctx.grid.tilesX()) * ctx.grid.tileSize();
-                int tx1 = std::min(tx0 + ctx.grid.tileSize(), ctx.vp.width);
-                int ty1 = std::min(ty0 + ctx.grid.tileSize(), ctx.vp.height);
-                for (int y = ty0; y < ty1; ++y) {
-                    for (int x = tx0; x < tx1; ++x) {
+                PixelRect r = ctx.grid.tileRect(tile);
+                for (int y = r.y0; y <= r.y1; ++y) {
+                    for (int x = r.x0; x <= r.x1; ++x) {
                         bool any = false;
                         Color merged = transparentIdentity(op);
                         for (int g = static_cast<int>(n) - 1; g >= 0; --g) {
@@ -496,6 +540,7 @@ runChopin(const SystemConfig &cfg, const FrameTrace &trace,
     else if (opts.comp_scheduler)
         scheme = Scheme::ChopinCompSched;
 
+    run.releaseSubs();
     FrameResult r = ctx.finish(scheme, end);
     r.groups_total = groups.size();
     r.groups_distributed = groups_distributed;

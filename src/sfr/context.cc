@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "gfx/renderer.hh"
 #include "util/check.hh"
 #include "util/log.hh"
 
@@ -34,10 +35,11 @@ SimContext::SimContext(const SystemConfig &config, const FrameTrace &frame,
         net.setTracer(tracer);
     }
 
+    SurfaceCache &cache = threadRenderScratch().surfaces;
     rts.reserve(trace.num_render_targets);
     rt_dirty.resize(trace.num_render_targets);
     for (std::uint32_t r = 0; r < trace.num_render_targets; ++r) {
-        rts.emplace_back(vp.width, vp.height);
+        rts.push_back(cache.takeAny(vp.width, vp.height));
         rts[r].clear(trace.clear_color, trace.clear_depth);
         rt_dirty[r].assign(static_cast<std::size_t>(grid.tileCount()), 0);
     }
@@ -157,9 +159,17 @@ SimContext::finish(Scheme scheme, Tick end)
     if (!pipes.empty())
         r.draw_timings = pipes[0].drawTimings();
     r.retained_culled = retained_culled;
-    r.image = rts[0].color();
-    r.frame_hash = frameHash(r.image);
-    r.content_hash = rts[0].contentHash();
+    r.frame_hash = frameHash(rts[0].color());
+    r.content_hash = rts[0].contentHashFrom(r.frame_hash);
+    r.image = std::move(rts[0].color());
+
+    // Hand the other render targets back as they are (the constructor
+    // clears them whole); rts[0] is dropped, its color image now belongs to
+    // the result.
+    SurfaceCache &cache = threadRenderScratch().surfaces;
+    for (std::size_t i = 1; i < rts.size(); ++i)
+        cache.giveAny(std::move(rts[i]));
+    rts.clear();
     return r;
 }
 

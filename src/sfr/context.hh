@@ -86,7 +86,13 @@ class SimContext
     /** The color image a draw samples, or null (validates the RT index). */
     const Image *textureFor(const DrawCommand &cmd) const;
 
-    /** Assemble the FrameResult after the frame completes at @p end. */
+    /**
+     * Assemble the FrameResult after the frame completes at @p end. The
+     * final image moves into the result and the render targets go back to
+     * the calling thread's surface cache (threadRenderScratch().surfaces),
+     * so rts is empty afterwards. The constructor took them from that same
+     * cache; a run that throws before finish() simply drops them.
+     */
     FrameResult finish(Scheme scheme, Tick end);
 };
 

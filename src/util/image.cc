@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 namespace chopin
 {
@@ -11,6 +12,25 @@ Image::Image(int w, int h, const Color &fill)
       pixels(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), fill)
 {
     chopin_assert(w >= 0 && h >= 0);
+}
+
+Image::Image(Image &&other) noexcept
+    : _width(std::exchange(other._width, 0)),
+      _height(std::exchange(other._height, 0)),
+      pixels(std::move(other.pixels))
+{
+}
+
+Image &
+Image::operator=(Image &&other) noexcept
+{
+    if (this != &other) {
+        _width = std::exchange(other._width, 0);
+        _height = std::exchange(other._height, 0);
+        pixels = std::move(other.pixels);
+        other.pixels.clear();
+    }
+    return *this;
 }
 
 void

@@ -26,6 +26,14 @@ class Image
     /** Create a w x h image filled with @p fill. */
     Image(int w, int h, const Color &fill = Color());
 
+    Image(const Image &) = default;
+    Image &operator=(const Image &) = default;
+
+    /** Moves leave the source 0x0, so its size agrees with its (empty)
+     *  pixel storage. */
+    Image(Image &&other) noexcept;
+    Image &operator=(Image &&other) noexcept;
+
     int width() const { return _width; }
     int height() const { return _height; }
 

@@ -34,7 +34,7 @@ namespace detail
 {
 
 void
-failUnlessOnPartition(PartitionId owner, const char *what)
+failUnlessOnPartition(PartitionId owner, [[maybe_unused]] const char *what)
 {
     PartitionId current = tl_partition;
     if (current == owner)

@@ -9,7 +9,7 @@ namespace detail
 {
 
 void
-failUnlessSequential(const char *what)
+failUnlessSequential([[maybe_unused]] const char *what)
 {
     CHOPIN_ASSERT(!inParallelRegion(), what,
                   ": coordinator-owned state touched from inside a "

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "gfx/renderer.hh"
 #include "gfx/surface.hh"
+#include "util/thread_pool.hh"
 
 namespace chopin
 {
@@ -195,6 +199,180 @@ TEST(SurfaceHash, DepthOnlyChangeChangesContentHash)
     b.clear({0, 0, 0, 1}, 0.5f);
     EXPECT_EQ(frameHash(a.color()), frameHash(b.color()));
     EXPECT_NE(a.contentHash(), b.contentHash());
+}
+
+/** A small surface whose color, depth and written bytes all vary. */
+Surface
+pinnedSurface()
+{
+    Surface s(5, 3);
+    s.clear({0.05f, 0.05f, 0.08f, 1.0f}, 1.0f);
+    DrawStats st;
+    s.applyFragment(frag(0, 0, 0.25f, {1.0f, 0.5f, 0.25f, 1.0f}),
+                    opaqueState(), 1, 0.5f, st);
+    s.applyFragment(frag(4, 2, 0.75f, {0.1f, 0.2f, 0.3f, 0.4f}),
+                    opaqueState(), 2, 0.5f, st);
+    RasterState over = opaqueState();
+    over.blend_op = BlendOp::Over;
+    over.depth_write = false;
+    s.applyFragment(frag(2, 1, 0.5f, {0.9f, 0.1f, 0.4f, 0.5f}), over, 3,
+                    0.5f, st);
+    return s;
+}
+
+TEST(SurfaceHash, ValuesArePinned)
+{
+    // Golden values: frame and content hashes are compared across schemes,
+    // runs and cached results, so changing either is an explicit golden
+    // migration, never a side effect of an optimization.
+    Surface s = pinnedSurface();
+    EXPECT_EQ(frameHash(s.color()), 0x6434b10f91f7ba24ULL);
+    EXPECT_EQ(s.contentHash(), 0x0dab0330bb88e4efULL);
+
+    Surface fresh(5, 3);
+    EXPECT_EQ(frameHash(fresh.color()), 0x5e3c3048c701b275ULL);
+    EXPECT_EQ(fresh.contentHash(), 0xc09588e4470b0d88ULL);
+}
+
+TEST(SurfaceHash, ContentHashFromContinuesTheFrameHash)
+{
+    for (const Surface &s : {pinnedSurface(), Surface(5, 3), Surface(1, 7)})
+        EXPECT_EQ(s.contentHashFrom(frameHash(s.color())), s.contentHash());
+}
+
+/** Restore a deterministic single-job pool when a test exits. */
+struct ScopedJobs
+{
+    explicit ScopedJobs(unsigned jobs) { setGlobalJobs(jobs); }
+    ~ScopedJobs() { setGlobalJobs(1); }
+};
+
+class TouchedTileResetTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(TouchedTileResetTest, ResetOfTouchedTilesRestoresFreshState)
+{
+    // The invariant CHOPIN's sub-image resets rely on: every pixel a draw
+    // changes lies in a tile renderDraw flagged, so clearing the flagged
+    // tiles alone restores Surface(w, h) state — at any job count (the
+    // serial path flags per fragment, the binned path per bucket).
+    ScopedJobs jobs(GetParam());
+    Viewport vp{200, 120};
+    TileGrid grid(vp.width, vp.height, 1, 32);
+    Surface s(vp.width, vp.height);
+    std::vector<std::uint8_t> touched(
+        static_cast<std::size_t>(grid.tileCount()), 0);
+
+    // A large triangle (enough pixels for the binned path) plus one in a
+    // corner, with stencil writes so every buffer changes.
+    std::vector<Triangle> tris(2);
+    Color c{0.8f, 0.3f, 0.1f, 1.0f};
+    tris[0].v[0] = {{-0.7f, -0.8f, 0.2f}, c};
+    tris[0].v[1] = {{-0.1f, 0.6f, 0.2f}, c};
+    tris[0].v[2] = {{0.4f, -0.8f, 0.2f}, c};
+    tris[1].v[0] = {{0.85f, 0.85f, -0.5f}, c};
+    tris[1].v[1] = {{0.95f, 0.85f, -0.5f}, c};
+    tris[1].v[2] = {{0.95f, 0.95f, -0.5f}, c};
+    DrawInput in;
+    in.triangles = tris;
+    in.mvp = Mat4::identity();
+    in.backface_cull = false;
+    in.draw_id = 4;
+    in.state.stencil_test = true;
+    in.state.stencil_ref = 7;
+    in.state.stencil_pass_op = StencilOp::Replace;
+    DrawStats stats =
+        renderDraw(s, vp, in, RenderFilter{}, &touched, &grid);
+    ASSERT_GT(stats.frags_written, 0u);
+
+    const Surface fresh(vp.width, vp.height);
+    int flagged = 0;
+    for (std::uint8_t t : touched)
+        flagged += t;
+    ASSERT_GT(flagged, 1);
+    ASSERT_LT(flagged, grid.tileCount());
+    ASSERT_NE(s.contentHash(), fresh.contentHash());
+
+    for (int tile = 0; tile < grid.tileCount(); ++tile)
+        if (touched[static_cast<std::size_t>(tile)])
+            s.clearRect(grid.tileRect(tile), Color(), 1.0f);
+    EXPECT_EQ(s.contentHash(), fresh.contentHash());
+    for (int y = 0; y < vp.height; ++y)
+        for (int x = 0; x < vp.width; ++x) {
+            ASSERT_EQ(s.writerAt(x, y), noWriter) << x << "," << y;
+            ASSERT_EQ(s.stencilAt(x, y), 0) << x << "," << y;
+        }
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, TouchedTileResetTest,
+                         ::testing::Values(1u, 4u),
+                         [](const auto &info) {
+                             return "jobs" + std::to_string(info.param);
+                         });
+
+TEST(SurfaceCache, HandsOutFreshSurfacesAndDropsOtherSizes)
+{
+    SurfaceCache cache;
+    Surface a = cache.take(8, 4);
+    EXPECT_EQ(a.contentHash(), Surface(8, 4).contentHash());
+    EXPECT_EQ(cache.size(), 0u);
+
+    // A surface given back in Surface(w, h) state is handed out again.
+    DrawStats st;
+    a.applyFragment(frag(1, 1, 0.5f), opaqueState(), 0, 0.5f, st);
+    a.clear(Color(), 1.0f);
+    const Color *pixels = a.color().data().data();
+    cache.give(std::move(a));
+    EXPECT_EQ(cache.size(), 1u);
+    Surface b = cache.take(8, 4);
+    EXPECT_EQ(b.color().data().data(), pixels);
+    EXPECT_EQ(cache.size(), 0u);
+
+    // A moved-from surface (its color taken by a result) reports 0x0 and
+    // is dropped, as is a surface of another size.
+    Image taken = std::move(b.color());
+    EXPECT_EQ(b.width(), 0);
+    EXPECT_EQ(b.height(), 0);
+    cache.give(std::move(b));
+    cache.give(Surface(4, 8));
+    EXPECT_EQ(cache.size(), 0u);
+
+    // A take of another size drops what the cache held.
+    cache.give(cache.take(8, 4));
+    EXPECT_EQ(cache.size(), 1u);
+    Surface c = cache.take(16, 4);
+    EXPECT_EQ(c.width(), 16);
+    EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SurfaceCache, AnyStateSurfacesAreResetBeforeTake)
+{
+    SurfaceCache cache;
+    Surface fresh(8, 4);
+    Surface clean = cache.take(8, 4);
+    Surface dirty = cache.takeAny(8, 4);
+    DrawStats st;
+    dirty.applyFragment(frag(2, 3, 0.5f), opaqueState(), 5, 0.5f, st);
+    const Color *clean_pixels = clean.color().data().data();
+    const Color *dirty_pixels = dirty.color().data().data();
+    cache.give(std::move(clean));
+    cache.giveAny(std::move(dirty));
+    EXPECT_EQ(cache.size(), 2u);
+
+    // takeAny() prefers the any-state surface; take() the clean one.
+    Surface any = cache.takeAny(8, 4);
+    EXPECT_EQ(any.color().data().data(), dirty_pixels);
+    cache.giveAny(std::move(any));
+    Surface first = cache.take(8, 4);
+    EXPECT_EQ(first.color().data().data(), clean_pixels);
+
+    // With only an any-state surface left, take() clears it first.
+    Surface second = cache.take(8, 4);
+    EXPECT_EQ(second.color().data().data(), dirty_pixels);
+    EXPECT_EQ(second.contentHash(), fresh.contentHash());
+    EXPECT_EQ(second.writerAt(2, 3), noWriter);
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(Blend, OverMatchesFormula)

@@ -74,10 +74,11 @@ TEST_P(CalibrationTest, SchemeOrderingsHold)
                                            true, false});
     FrameResult ideal = runChopin(cfg, t, {DrawPolicy::FewestRemaining,
                                            true, true});
-    // The composition scheduler pays off at full trace sizes (Fig. 13:
-    // 1.27x vs 0.99x gmean); at this test's 1/4-scale miniatures its
-    // session pairing can trail naive direct-send by a whisker on some
-    // apps, so the lock allows a small tolerance. Ideal links never hurt.
+    // The composition scheduler pays off at full trace sizes (Fig. 13 at
+    // --scale 1: 1.23x vs 0.97x gmean); at this test's 1/4-scale
+    // miniatures its session pairing can trail naive direct-send by a
+    // whisker on some apps, so the lock allows a small tolerance. Ideal
+    // links never hurt.
     EXPECT_LE(static_cast<double>(sched.cycles),
               1.04 * static_cast<double>(plain.cycles))
         << GetParam();

@@ -4,12 +4,18 @@
  * with zero transparent groups (the transparent chain/tree fan-out never
  * runs) and a single-GPU system (every composition degenerates to a local
  * no-op). Both must still be bit-identical across host job counts — the
- * degenerate paths share the determinism contract of the full ones.
+ * degenerate paths share the determinism contract of the full ones. Also
+ * covered: runs that reuse the surfaces an earlier run on the same thread
+ * handed back must match a run on a fresh thread.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "sfr/grouping.hh"
 #include "sfr/schemes.hh"
+#include "stats/metrics.hh"
 #include "trace/generator.hh"
 #include "trace/profile.hh"
 #include "util/thread_pool.hh"
@@ -121,6 +127,100 @@ TEST(ChopinEdge, OpaqueOnlyMatchesSingleGpuImage)
     FrameResult ref = runScheme(Scheme::SingleGpu, one, trace);
     FrameResult chopin = runScheme(Scheme::Chopin, eight, trace);
     EXPECT_EQ(ref.content_hash, chopin.content_hash);
+}
+
+/** wolf at 1/32 scale with its additive draws turned into Multiply ones. */
+FrameTrace
+multiplyTrace()
+{
+    FrameTrace t = generateBenchmark("wolf", 32);
+    for (DrawCommand &cmd : t.draws)
+        if (cmd.state.blend_op == BlendOp::Additive)
+            cmd.state.blend_op = BlendOp::Multiply;
+    return t;
+}
+
+/** Whether some group of @p trace distributes under @p cfg and matches
+ *  @p pred. */
+template <typename Pred>
+bool
+distributesGroup(const FrameTrace &trace, const SystemConfig &cfg,
+                 Pred pred)
+{
+    for (const CompositionGroup &g : formGroups(trace))
+        if (groupDistributable(g, cfg.group_threshold) && pred(g))
+            return true;
+    return false;
+}
+
+/** A result on a thread of fresh caches. */
+FrameResult
+runOnFreshThread(const SystemConfig &cfg, const FrameTrace &trace)
+{
+    FrameResult r;
+    std::thread worker(
+        [&] { r = runScheme(Scheme::ChopinCompSched, cfg, trace); });
+    worker.join();
+    return r;
+}
+
+void
+expectSameResult(const FrameResult &got, const FrameResult &want,
+                 const std::string &what)
+{
+    EXPECT_TRUE(metricsEqual<FrameAccounting>(got, want))
+        << what << ": " << ::testing::PrintToString(
+                               metricsDiff<FrameAccounting>(got, want));
+    EXPECT_EQ(got.frame_hash, want.frame_hash) << what;
+    EXPECT_EQ(got.content_hash, want.content_hash) << what;
+    EXPECT_EQ(compareImages(got.image, want.image).differing_pixels, 0)
+        << what;
+}
+
+TEST(ChopinEdge, SurfaceReuseAcrossRunsMatchesAFreshThread)
+{
+    // A run takes its render targets and sub-images from the thread's
+    // surface cache and resets sub-images only over touched tiles. A runs
+    // again after B, which used another viewport (the cache is dropped
+    // and refilled), twice the GPUs, and groups whose clear values differ
+    // from the default (reversed-Z depth 0, Multiply color 1s).
+    FrameTrace a = generateBenchmark("ut3", 32);
+    FrameTrace b = multiplyTrace();
+    ASSERT_NE(a.viewport.width, b.viewport.width);
+    SystemConfig cfg_a;
+    cfg_a.num_gpus = 8;
+    SystemConfig cfg_b;
+    cfg_b.num_gpus = 16;
+    cfg_b.group_threshold = 1; // distribute B's small groups too
+    ASSERT_TRUE(distributesGroup(b, cfg_b, [](const CompositionGroup &g) {
+        return g.depth_test && !prefersSmaller(g.depth_func);
+    }));
+    ASSERT_TRUE(distributesGroup(b, cfg_b, [](const CompositionGroup &g) {
+        return g.blend_op == BlendOp::Multiply;
+    }));
+
+    const FrameResult fresh_a = runOnFreshThread(cfg_a, a);
+    const FrameResult fresh_b = runOnFreshThread(cfg_b, b);
+    ASSERT_GT(fresh_a.groups_distributed, 0u);
+    // B's full clears must be right, not only repeatable: its image
+    // matches the single-GPU reference up to the rounding of reassociated
+    // Multiply merges.
+    FrameResult ref_b = runScheme(Scheme::SingleGpu, cfg_b, b);
+    EXPECT_EQ(compareImages(fresh_b.image, ref_b.image, 1e-5f)
+                  .differing_pixels,
+              0);
+
+    ScopedJobs restore(1);
+    for (unsigned jobs : {1u, 4u}) {
+        setGlobalJobs(jobs);
+        std::string at = " jobs=" + std::to_string(jobs);
+        expectSameResult(runScheme(Scheme::ChopinCompSched, cfg_a, a),
+                         fresh_a, "A first" + at);
+        expectSameResult(runScheme(Scheme::ChopinCompSched, cfg_b, b),
+                         fresh_b, "B after A" + at);
+        expectSameResult(runScheme(Scheme::ChopinCompSched, cfg_a, a),
+                         fresh_a, "A after B" + at);
+    }
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "sfr/comp_scheduler.hh"
 #include "util/rng.hh"
@@ -36,19 +39,38 @@ using ComposeFn = CompositionTiming (*)(const CompositionJob &,
                                         Interconnect &,
                                         const TimingParams &);
 
+const std::pair<std::string_view, ComposeFn> kAlgos[] = {
+    {"direct", &composeOpaqueDirectSend},
+    {"scheduled", &composeOpaqueScheduled},
+    {"chain", &composeTransparentChain},
+    {"tree", &composeTransparentTree},
+};
+
+// The name is held inline, not by pointer, and the fixture looks the
+// function up by it: gtest prints a parameter type that has no printer as
+// its raw bytes, ctest names each discovered test with that text, and an
+// address there would rename the tests on every build.
 struct AlgoCase
 {
-    const char *name;
-    ComposeFn fn;
+    char name[16];
 };
 
 class CompositionLiveness : public ::testing::TestWithParam<AlgoCase>
 {
+  protected:
+    void SetUp() override
+    {
+        for (const auto &[name, compose] : kAlgos)
+            if (name == GetParam().name)
+                fn = compose;
+        ASSERT_NE(fn, nullptr) << GetParam().name;
+    }
+
+    ComposeFn fn = nullptr;
 };
 
 TEST_P(CompositionLiveness, CompletesForRandomReadyTimes)
 {
-    ComposeFn fn = GetParam().fn;
     for (unsigned n : {1u, 2u, 3u, 4u, 5u, 8u, 16u}) {
         for (std::uint64_t seed : {1u, 2u, 3u}) {
             Rng rng(seed * 977 + n);
@@ -83,7 +105,6 @@ TEST_P(CompositionLiveness, SingleGpuMovesNoBytes)
     // N=1 collapses every algorithm to "the sole GPU already holds the
     // frame": no traffic, no messages, and completion is bounded by the
     // GPU's own readiness plus local composition work.
-    ComposeFn fn = GetParam().fn;
     for (Tick ready : {Tick{0}, Tick{12345}}) {
         CompositionJob job = makeJob({ready});
         Interconnect net(1, link);
@@ -100,7 +121,6 @@ TEST_P(CompositionLiveness, SingleGpuWithEmptySubimageFinishesAtReady)
 {
     // The fully degenerate job: one GPU, nothing rendered. No composition
     // work exists, so the phase must end exactly when the GPU is ready.
-    ComposeFn fn = GetParam().fn;
     CompositionJob job = makeJob({777}, 0, 0);
     job.subimage_pixels[0] = 0;
     Interconnect net(1, link);
@@ -111,11 +131,9 @@ TEST_P(CompositionLiveness, SingleGpuWithEmptySubimageFinishesAtReady)
 
 INSTANTIATE_TEST_SUITE_P(
     Algos, CompositionLiveness,
-    ::testing::Values(AlgoCase{"direct", &composeOpaqueDirectSend},
-                      AlgoCase{"scheduled", &composeOpaqueScheduled},
-                      AlgoCase{"chain", &composeTransparentChain},
-                      AlgoCase{"tree", &composeTransparentTree}),
-    [](const auto &info) { return info.param.name; });
+    ::testing::Values(AlgoCase{"direct"}, AlgoCase{"scheduled"},
+                      AlgoCase{"chain"}, AlgoCase{"tree"}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 TEST(CompositionScheduler, SchedulerBeatsNaiveUnderStragglers)
 {

@@ -20,6 +20,34 @@ TEST(Image, ConstructionAndFill)
     EXPECT_EQ(img.at(0, 0), (Color{0, 1, 0, 1}));
 }
 
+TEST(Image, MovesLeaveTheSourceEmpty)
+{
+    // A moved-from image must not keep reporting its old size over empty
+    // pixel storage (the frame result takes the final image by move).
+    Image a(4, 3, {1, 0, 0, 1});
+    Image b(std::move(a));
+    EXPECT_EQ(b.width(), 4);
+    EXPECT_EQ(b.height(), 3);
+    EXPECT_EQ(b.at(3, 2), (Color{1, 0, 0, 1}));
+    EXPECT_EQ(a.width(), 0); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(a.height(), 0);
+    EXPECT_TRUE(a.data().empty());
+
+    Image c(2, 2);
+    c = std::move(b);
+    EXPECT_EQ(c.width(), 4);
+    EXPECT_EQ(c.height(), 3);
+    EXPECT_EQ(c.data().size(), 12u);
+    EXPECT_EQ(b.width(), 0); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(b.height(), 0);
+    EXPECT_TRUE(b.data().empty());
+
+    // A copy leaves its source alone.
+    Image d = c;
+    EXPECT_EQ(c.width(), 4);
+    EXPECT_EQ(d.data(), c.data());
+}
+
 TEST(Image, CompareIdentical)
 {
     Image a(8, 8, {0.5f, 0.5f, 0.5f, 1});
