@@ -121,10 +121,13 @@ main(int argc, char **argv)
     cfg.num_gpus = static_cast<unsigned>(cli.getInt("gpus"));
     cfg.group_threshold = 1; // the scene is tiny; distribute anyway
 
-    FrameResult reference = runSingleGpu(cfg, trace);
-    FrameResult chopin = runScheme(Scheme::ChopinCompSched, cfg, trace);
+    Image reference_image, chopin_image;
+    FrameResult reference =
+        runSingleGpu(cfg, trace, nullptr, &reference_image);
+    FrameResult chopin = runScheme(Scheme::ChopinCompSched, cfg, trace,
+                                   nullptr, &chopin_image);
 
-    ImageDiff diff = compareImages(reference.image, chopin.image, 2e-4f);
+    ImageDiff diff = compareImages(reference_image, chopin_image, 2e-4f);
     std::cout << "single GPU: " << reference.cycles << " cycles\n"
               << "CHOPIN(" << cfg.num_gpus << " GPUs): " << chopin.cycles
               << " cycles, "
@@ -140,7 +143,7 @@ main(int argc, char **argv)
     }
 
     std::string out = cli.getString("out");
-    if (chopin.image.writePpm(out))
+    if (chopin_image.writePpm(out))
         std::cout << "wrote " << out << "\n";
 
     // Round-trip the trace through the binary format.

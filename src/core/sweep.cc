@@ -1,14 +1,14 @@
 #include "core/sweep.hh"
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include <unistd.h> // getpid(), for unique cache temp-file names
 
-#include "gfx/surface.hh"
 #include "stats/metrics.hh"
 #include "util/check.hh"
 #include "util/fingerprint.hh"
@@ -61,15 +61,14 @@ sequenceScenarioFingerprint(const SequenceOptions &opt,
 
 // --- FrameResult (de)serialization ----------------------------------------
 //
-// The accounting payload (FrameAccounting and each DrawTiming) is written
+// An entry is: magic/version/key header, scheme, the accounting block
+// (FrameAccounting), the draw timings, a checksum of every preceding
+// byte, and an end magic. The accounting and each DrawTiming are written
 // through the metric registry (stats/metrics.hh): one 64-bit word per
 // registered metric, in registration order, so the serializer can never
 // drift from the structs — a new field either registers (and ships) or
-// trips the metrics round-trip test. Framing (magic/version/key header,
-// trailing sentinel) stays explicit. The image is run-length encoded over
-// bit-identical pixels: rendered frames have large uniform regions (clear
-// color, sky), and the encoding is lossless, so the cached FrameResult
-// round-trips bit-exactly.
+// trips the metrics round-trip test. No image is stored: frame_hash and
+// content_hash in the accounting block identify it.
 
 namespace
 {
@@ -77,9 +76,18 @@ namespace
 constexpr std::uint32_t resultMagic = 0x43485243;    // "CHRC"
 constexpr std::uint32_t resultEndMagic = 0x444e4552; // "ENDR"
 
+/** The entry checksum over @p bytes, every byte that precedes it in the
+ *  entry. FNV-1a, so a single changed byte always changes it. */
+std::uint64_t
+checksum(std::string_view bytes)
+{
+    return Fingerprinter().bytes(bytes.data(), bytes.size()).value();
+}
+
 /** Reader that fails soft: every get() after a short read returns false
  *  and poisons the reader, so corrupt files surface as a rejected load
- *  rather than a crash or a fatal(). */
+ *  rather than a crash or a fatal(). It keeps every byte it reads for the
+ *  checksum. */
 class SoftReader
 {
   public:
@@ -100,8 +108,13 @@ class SoftReader
             return false;
         is.read(reinterpret_cast<char *>(&v), sizeof(T));
         ok_flag = static_cast<bool>(is);
+        if (ok_flag)
+            consumed.append(reinterpret_cast<const char *>(&v), sizeof(T));
         return ok_flag;
     }
+
+    /** Every byte read so far, in order. */
+    std::string_view bytesRead() const { return consumed; }
 
     /** True iff every byte has been consumed (no trailing garbage). */
     bool
@@ -115,6 +128,7 @@ class SoftReader
   private:
     std::ifstream is;
     bool ok_flag = false;
+    std::string consumed;
 };
 
 template <typename T>
@@ -123,69 +137,6 @@ put(std::ostream &os, const T &v)
 {
     static_assert(std::is_trivially_copyable_v<T>);
     os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-void
-putImageRle(std::ostream &os, const Image &img)
-{
-    put(os, static_cast<std::int32_t>(img.width()));
-    put(os, static_cast<std::int32_t>(img.height()));
-    const std::vector<Color> &px = img.data();
-    std::uint64_t runs = 0;
-    for (std::size_t i = 0; i < px.size();) {
-        std::size_t j = i + 1;
-        while (j < px.size() &&
-               std::memcmp(&px[j], &px[i], sizeof(Color)) == 0)
-            ++j;
-        ++runs;
-        i = j;
-    }
-    put(os, runs);
-    for (std::size_t i = 0; i < px.size();) {
-        std::size_t j = i + 1;
-        while (j < px.size() &&
-               std::memcmp(&px[j], &px[i], sizeof(Color)) == 0)
-            ++j;
-        put(os, static_cast<std::uint32_t>(j - i));
-        put(os, px[i].r);
-        put(os, px[i].g);
-        put(os, px[i].b);
-        put(os, px[i].a);
-        i = j;
-    }
-}
-
-bool
-getImageRle(SoftReader &r, Image &img)
-{
-    std::int32_t w = 0, h = 0;
-    if (!r.get(w) || !r.get(h))
-        return false;
-    if (w < 0 || h < 0 || w > (1 << 16) || h > (1 << 16))
-        return false;
-    std::uint64_t pixels =
-        static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h);
-    std::uint64_t runs = 0;
-    if (!r.get(runs) || runs > pixels)
-        return false;
-    if (pixels == 0 && runs != 0)
-        return false;
-    img = (w > 0 && h > 0) ? Image(w, h) : Image();
-    std::vector<Color> &px = img.data();
-    std::uint64_t filled = 0;
-    for (std::uint64_t run = 0; run < runs; ++run) {
-        std::uint32_t count = 0;
-        Color c;
-        if (!r.get(count) || !r.get(c.r) || !r.get(c.g) || !r.get(c.b) ||
-            !r.get(c.a))
-            return false;
-        if (count == 0 || filled + count > pixels)
-            return false;
-        for (std::uint32_t i = 0; i < count; ++i)
-            px[filled + i] = c;
-        filled += count;
-    }
-    return filled == pixels;
 }
 
 } // namespace
@@ -247,17 +198,14 @@ ResultCache::load(std::uint64_t key, FrameResult &out) const
         if (!readMetrics(r, t))
             return CacheLoad::Rejected;
 
-    if (!getImageRle(r, res.image))
-        return CacheLoad::Rejected;
-
+    // Content validation: the stored checksum must match every byte read
+    // above. This catches bit rot anywhere in the entry — an accounting
+    // word included — that the framing checks cannot see.
+    std::uint64_t want = checksum(r.bytesRead());
+    std::uint64_t stored = 0;
     std::uint32_t end_magic = 0;
-    if (!r.get(end_magic) || end_magic != resultEndMagic || !r.atEof())
-        return CacheLoad::Rejected;
-
-    // Content validation: the stored image must reproduce the stored
-    // frame hash. This catches bit rot in the bulk payload that the
-    // framing checks above cannot see.
-    if (frameHash(res.image) != res.frame_hash)
+    if (!r.get(stored) || stored != want || !r.get(end_magic) ||
+        end_magic != resultEndMagic || !r.atEof())
         return CacheLoad::Rejected;
 
     out = std::move(res);
@@ -270,19 +218,22 @@ ResultCache::store(std::uint64_t key, const FrameResult &r) const
     std::string final_path = path(key);
     std::string tmp_path =
         final_path + ".tmp." + std::to_string(::getpid());
+    std::ostringstream body;
+    put(body, resultMagic);
+    put(body, version);
+    put(body, key);
+    put(body, static_cast<std::uint32_t>(r.scheme));
+    writeMetrics(body, static_cast<const FrameAccounting &>(r));
+    put(body, static_cast<std::uint64_t>(r.draw_timings.size()));
+    for (const DrawTiming &t : r.draw_timings)
+        writeMetrics(body, t);
+    const std::string bytes = body.str();
     {
         std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
         if (!os)
             return false;
-        put(os, resultMagic);
-        put(os, version);
-        put(os, key);
-        put(os, static_cast<std::uint32_t>(r.scheme));
-        writeMetrics(os, static_cast<const FrameAccounting &>(r));
-        put(os, static_cast<std::uint64_t>(r.draw_timings.size()));
-        for (const DrawTiming &t : r.draw_timings)
-            writeMetrics(os, t);
-        putImageRle(os, r.image);
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        put(os, checksum(bytes));
         put(os, resultEndMagic);
         if (!os)
             return false;

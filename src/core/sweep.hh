@@ -25,9 +25,11 @@
  *     persisted to an on-disk content-addressed cache keyed by an
  *     exhaustive fingerprint — SystemConfig::fingerprint() (every config
  *     field) + traceFingerprint() (every trace byte) + the result schema
- *     version. Hits are validated against the stored frame_hash (the image
- *     is re-hashed on load); corrupt, truncated or version-mismatched
- *     entries are rejected and recomputed, never trusted and never fatal.
+ *     version. A result holds metrics, hashes and draw timings, never an
+ *     image, so neither the memo nor an entry carries pixels. Hits are
+ *     validated against a checksum stored with each entry; corrupt,
+ *     truncated or version-mismatched entries are rejected and
+ *     recomputed, never trusted and never fatal.
  *
  * See DESIGN.md §9 for the fingerprint scheme, the parallelism contract
  * and the cache invalidation rules; bench/sweep_all runs the whole figure
@@ -55,12 +57,13 @@ namespace chopin
 /**
  * Result-cache schema version: part of every cache key and file header.
  * Bump whenever the FrameResult serialization *framing* (magic, header,
- * image encoding) or simulation semantics change, so stale entries from
- * older binaries are evicted (rejected on load and overwritten on the next
+ * checksum) or simulation semantics change, so stale entries from older
+ * binaries are evicted (rejected on load and overwritten on the next
  * store) instead of aliasing. v2: the accounting payload is the metric
  * registry's wire format (stats/metrics.hh) instead of hand-listed fields.
+ * v3: no image; a checksum of every preceding byte precedes the end magic.
  */
-inline constexpr std::uint32_t resultSchemaVersion = 2;
+inline constexpr std::uint32_t resultSchemaVersion = 3;
 
 /**
  * The cache version binaries actually use (the SweepOptions default):
@@ -149,11 +152,11 @@ class ResultCache
 
     /**
      * Load and validate the entry for @p key. Validation covers the magic,
-     * the schema version, the key echo, every length field, a trailing
-     * sentinel, and a recomputed frameHash() of the stored image against
-     * the stored frame_hash. Returns Rejected — never crashes, never
-     * fatal()s — on a truncated, corrupt or version-mismatched entry; the
-     * caller recomputes, and the next store() evicts the bad file.
+     * the schema version, the key echo, every length field, a checksum of
+     * every byte before it, a trailing sentinel and exact EOF. Returns
+     * Rejected — never crashes, never fatal()s — on a truncated, corrupt
+     * or version-mismatched entry; the caller recomputes, and the next
+     * store() evicts the bad file.
      */
     CacheLoad load(std::uint64_t key, FrameResult &out) const;
 

@@ -498,7 +498,7 @@ struct ChopinRun
 
 FrameResult
 runChopin(const SystemConfig &cfg, const FrameTrace &trace,
-          const ChopinOptions &opts, Tracer *tracer)
+          const ChopinOptions &opts, Tracer *tracer, Image *image)
 {
     SimContext ctx(cfg, trace, opts.ideal ? LinkParams::ideal() : cfg.link,
                    tracer);
@@ -541,7 +541,7 @@ runChopin(const SystemConfig &cfg, const FrameTrace &trace,
         scheme = Scheme::ChopinCompSched;
 
     run.releaseSubs();
-    FrameResult r = ctx.finish(scheme, end);
+    FrameResult r = ctx.finish(scheme, end, image);
     r.groups_total = groups.size();
     r.groups_distributed = groups_distributed;
     r.tris_distributed = tris_distributed;
@@ -551,32 +551,33 @@ runChopin(const SystemConfig &cfg, const FrameTrace &trace,
 
 FrameResult
 runScheme(Scheme scheme, const SystemConfig &cfg, const FrameTrace &trace,
-          Tracer *tracer)
+          Tracer *tracer, Image *image)
 {
     switch (scheme) {
       case Scheme::SingleGpu:
-        return runSingleGpu(cfg, trace, tracer);
+        return runSingleGpu(cfg, trace, tracer, image);
       case Scheme::Duplication:
-        return runDuplication(cfg, trace, tracer);
+        return runDuplication(cfg, trace, tracer, image);
       case Scheme::Gpupd:
-        return runGpupd(cfg, trace, false, tracer);
+        return runGpupd(cfg, trace, false, tracer, image);
       case Scheme::GpupdIdeal:
-        return runGpupd(cfg, trace, true, tracer);
+        return runGpupd(cfg, trace, true, tracer, image);
       case Scheme::ChopinRoundRobin:
         return runChopin(cfg, trace,
-                         {DrawPolicy::RoundRobin, false, false}, tracer);
+                         {DrawPolicy::RoundRobin, false, false}, tracer,
+                         image);
       case Scheme::Chopin:
         return runChopin(cfg, trace,
                          {DrawPolicy::FewestRemaining, false, false},
-                         tracer);
+                         tracer, image);
       case Scheme::ChopinCompSched:
         return runChopin(cfg, trace,
                          {DrawPolicy::FewestRemaining, true, false},
-                         tracer);
+                         tracer, image);
       case Scheme::ChopinIdeal:
         return runChopin(cfg, trace,
                          {DrawPolicy::FewestRemaining, true, true},
-                         tracer);
+                         tracer, image);
     }
     panic("unknown scheme");
 }

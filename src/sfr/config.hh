@@ -17,7 +17,6 @@
 #include "gpu/timing.hh"
 #include "net/interconnect.hh"
 #include "stats/metrics.hh"
-#include "util/image.hh"
 #include "util/types.hh"
 
 namespace chopin
@@ -229,7 +228,11 @@ struct FrameAccounting
 /**
  * Result of simulating one frame under one scheme: the registered
  * accounting (FrameAccounting base — all counters read as before, e.g.
- * `r.cycles`, `r.traffic.total`) plus the non-scalar payloads.
+ * `r.cycles`, `r.traffic.total`) plus the per-draw timings. That is
+ * exactly what the figures consume. The final image is not part of a
+ * result: frame_hash and content_hash identify it, and a caller that
+ * needs its pixels (the image oracle, render_trace) passes an Image out
+ * parameter to the scheme runner (sfr/schemes.hh).
  */
 struct FrameResult : FrameAccounting
 {
@@ -237,9 +240,6 @@ struct FrameResult : FrameAccounting
 
     /** Per-draw timing records of GPU 0 (Fig. 9 data; SingleGpu runs). */
     std::vector<DrawTiming> draw_timings;
-
-    /** The final frame (render target 0). */
-    Image image;
 };
 
 } // namespace chopin

@@ -129,7 +129,7 @@ SimContext::textureFor(const DrawCommand &cmd) const
 }
 
 FrameResult
-SimContext::finish(Scheme scheme, Tick end)
+SimContext::finish(Scheme scheme, Tick end, Image *image)
 {
     // Frame-boundary invariants: traffic accounting must conserve bytes
     // across the injection and delivery paths, and every message must have
@@ -161,14 +161,15 @@ SimContext::finish(Scheme scheme, Tick end)
     r.retained_culled = retained_culled;
     r.frame_hash = frameHash(rts[0].color());
     r.content_hash = rts[0].contentHashFrom(r.frame_hash);
-    r.image = std::move(rts[0].color());
+    if (image != nullptr)
+        *image = std::move(rts[0].color());
 
-    // Hand the other render targets back as they are (the constructor
-    // clears them whole); rts[0] is dropped, its color image now belongs to
-    // the result.
+    // Hand every render target back as it is (the constructor clears them
+    // whole). One whose color image just moved out reports 0x0, and the
+    // cache drops it.
     SurfaceCache &cache = threadRenderScratch().surfaces;
-    for (std::size_t i = 1; i < rts.size(); ++i)
-        cache.giveAny(std::move(rts[i]));
+    for (Surface &s : rts)
+        cache.giveAny(std::move(s));
     rts.clear();
     return r;
 }

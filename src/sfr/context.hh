@@ -87,13 +87,14 @@ class SimContext
     const Image *textureFor(const DrawCommand &cmd) const;
 
     /**
-     * Assemble the FrameResult after the frame completes at @p end. The
-     * final image moves into the result and the render targets go back to
-     * the calling thread's surface cache (threadRenderScratch().surfaces),
-     * so rts is empty afterwards. The constructor took them from that same
-     * cache; a run that throws before finish() simply drops them.
+     * Assemble the FrameResult after the frame completes at @p end. If
+     * @p image is non-null, the final image (render target 0's color)
+     * moves into it. The render targets then go back to the calling
+     * thread's surface cache (threadRenderScratch().surfaces), so rts is
+     * empty afterwards. The constructor took them from that same cache; a
+     * run that throws before finish() simply drops them.
      */
-    FrameResult finish(Scheme scheme, Tick end);
+    FrameResult finish(Scheme scheme, Tick end, Image *image);
 };
 
 } // namespace chopin

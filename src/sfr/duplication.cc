@@ -20,7 +20,7 @@ namespace chopin
 
 FrameResult
 runDuplication(const SystemConfig &cfg, const FrameTrace &trace,
-               Tracer *tracer)
+               Tracer *tracer, Image *image)
 {
     SimContext ctx(cfg, trace, cfg.link, tracer);
 
@@ -51,7 +51,7 @@ runDuplication(const SystemConfig &cfg, const FrameTrace &trace,
         t += cfg.timing.driver_issue_cycles;
     }
 
-    return ctx.finish(Scheme::Duplication, ctx.maxPipeFinish());
+    return ctx.finish(Scheme::Duplication, ctx.maxPipeFinish(), image);
 }
 
 } // namespace chopin

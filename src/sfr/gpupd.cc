@@ -31,7 +31,7 @@ namespace chopin
 
 FrameResult
 runGpupd(const SystemConfig &cfg, const FrameTrace &trace, bool ideal,
-         Tracer *tracer)
+         Tracer *tracer, Image *image)
 {
     SimContext ctx(cfg, trace, ideal ? LinkParams::ideal() : cfg.link,
                    tracer);
@@ -153,7 +153,7 @@ runGpupd(const SystemConfig &cfg, const FrameTrace &trace, bool ideal,
     }
 
     return ctx.finish(ideal ? Scheme::GpupdIdeal : Scheme::Gpupd,
-                      ctx.maxPipeFinish());
+                      ctx.maxPipeFinish(), image);
 }
 
 } // namespace chopin

@@ -16,7 +16,7 @@ namespace chopin
 
 FrameResult
 runSingleGpu(const SystemConfig &cfg, const FrameTrace &trace,
-             Tracer *tracer)
+             Tracer *tracer, Image *image)
 {
     SystemConfig one = cfg;
     one.num_gpus = 1;
@@ -42,7 +42,7 @@ runSingleGpu(const SystemConfig &cfg, const FrameTrace &trace,
         t += cfg.timing.driver_issue_cycles;
     }
 
-    return ctx.finish(Scheme::SingleGpu, ctx.maxPipeFinish());
+    return ctx.finish(Scheme::SingleGpu, ctx.maxPipeFinish(), image);
 }
 
 } // namespace chopin

@@ -9,13 +9,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hh"
+#include "stats/metrics.hh"
 
 namespace chopin
 {
@@ -58,17 +58,18 @@ freshCacheDir(const std::string &name)
     return dir;
 }
 
+/** Everything a result holds: scheme, every registered metric (both
+ *  hashes included) and every draw timing. */
 void
 expectIdentical(const FrameResult &a, const FrameResult &b)
 {
-    EXPECT_EQ(a.frame_hash, b.frame_hash);
-    EXPECT_EQ(a.content_hash, b.content_hash);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.traffic.total, b.traffic.total);
-    EXPECT_EQ(a.breakdown.total(), b.breakdown.total());
-    ASSERT_EQ(a.image.data().size(), b.image.data().size());
-    EXPECT_EQ(0, std::memcmp(a.image.data().data(), b.image.data().data(),
-                             a.image.data().size() * sizeof(Color)));
+    EXPECT_EQ(a.scheme, b.scheme);
+    EXPECT_TRUE(metricsEqual<FrameAccounting>(a, b))
+        << ::testing::PrintToString(metricsDiff<FrameAccounting>(a, b));
+    ASSERT_EQ(a.draw_timings.size(), b.draw_timings.size());
+    for (std::size_t i = 0; i < a.draw_timings.size(); ++i)
+        EXPECT_TRUE(metricsEqual(a.draw_timings[i], b.draw_timings[i]))
+            << "draw timing " << i;
 }
 
 TEST(Sweep, RepeatedRunIsAMemoHit)
@@ -209,6 +210,57 @@ TEST(Sweep, CorruptEntryIsRejectedAndRecomputed)
     EXPECT_EQ(s.stored, 1u);
     expectIdentical(good, recomputed);
     EXPECT_EQ(cache.load(key, out), CacheLoad::Hit); // healed
+}
+
+TEST(Sweep, CorruptAccountingWordIsRejected)
+{
+    // One flipped byte in the stored cycle count: the framing still
+    // parses and every length is right, so only the entry checksum can
+    // tell the accounting is wrong.
+    std::string dir = freshCacheDir("accounting");
+    Scenario scenario{Scheme::Chopin, "ut3", smallConfig()};
+    scenario.cfg.num_gpus = 4;
+
+    SweepRunner writer(optionsWith(dir));
+    const FrameResult &good = writer.run(scenario);
+    std::uint64_t key = scenarioFingerprint(scenario.scheme,
+                                            writer.traceFp("ut3"),
+                                            scenario.cfg,
+                                            resultCacheVersion());
+    ResultCache cache(dir, resultCacheVersion());
+    FrameResult out;
+    ASSERT_EQ(cache.load(key, out), CacheLoad::Hit);
+
+    // Header (magic, version, key), scheme, then the accounting block in
+    // registration order: num_gpus, cycles, ...
+    const std::streamoff cycles_offset =
+        2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+        sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    std::string path = cache.path(key);
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.good());
+        Tick cycles = 0;
+        f.seekg(cycles_offset);
+        f.read(reinterpret_cast<char *>(&cycles), sizeof(cycles));
+        ASSERT_EQ(cycles, good.cycles); // the offset is right
+        cycles ^= 0x2f;
+        f.seekp(cycles_offset);
+        f.write(reinterpret_cast<const char *>(&cycles), sizeof(cycles));
+    }
+    EXPECT_EQ(cache.load(key, out), CacheLoad::Rejected);
+
+    // A runner recomputes the scenario and heals the entry.
+    SweepRunner reader(optionsWith(dir));
+    const FrameResult &recomputed = reader.run(scenario);
+    SweepStats s = reader.stats();
+    EXPECT_EQ(s.disk_rejected, 1u);
+    EXPECT_EQ(s.computed, 1u);
+    EXPECT_EQ(s.stored, 1u);
+    expectIdentical(good, recomputed);
+    ASSERT_EQ(cache.load(key, out), CacheLoad::Hit);
+    expectIdentical(good, out);
 }
 
 TEST(Sweep, TruncatedEntryIsRejectedAndRecomputed)

@@ -58,7 +58,10 @@ TEST(ReversedZ, AllSchemesMatchTheReference)
     SystemConfig cfg;
     cfg.num_gpus = 8;
     cfg.group_threshold = 1; // force distribution of this small frame
-    FrameResult reference = runSingleGpu(cfg, trace);
+    Image reference;
+    runSingleGpu(cfg, trace, nullptr, &reference);
+    ASSERT_EQ(reference.width(), trace.viewport.width);
+    ASSERT_EQ(reference.height(), trace.viewport.height);
 
     // The distributed path must have been taken for the test to mean
     // anything.
@@ -67,8 +70,9 @@ TEST(ReversedZ, AllSchemesMatchTheReference)
 
     for (Scheme s : {Scheme::Duplication, Scheme::Gpupd, Scheme::Chopin,
                      Scheme::ChopinCompSched, Scheme::ChopinIdeal}) {
-        FrameResult r = runScheme(s, cfg, trace);
-        ImageDiff diff = compareImages(reference.image, r.image);
+        Image image;
+        runScheme(s, cfg, trace, nullptr, &image);
+        ImageDiff diff = compareImages(reference, image);
         EXPECT_EQ(diff.differing_pixels, 0) << toString(s);
     }
 }

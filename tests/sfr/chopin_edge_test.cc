@@ -6,13 +6,15 @@
  * no-op). Both must still be bit-identical across host job counts — the
  * degenerate paths share the determinism contract of the full ones. Also
  * covered: runs that reuse the surfaces an earlier run on the same thread
- * handed back must match a run on a fresh thread.
+ * handed back must match a run on a fresh thread, and a run gives render
+ * target 0 back unless its caller takes the image.
  */
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "gfx/renderer.hh"
 #include "sfr/grouping.hh"
 #include "sfr/schemes.hh"
 #include "stats/metrics.hh"
@@ -153,13 +155,15 @@ distributesGroup(const FrameTrace &trace, const SystemConfig &cfg,
     return false;
 }
 
-/** A result on a thread of fresh caches. */
+/** A result on a thread of fresh caches; its image goes to @p image. */
 FrameResult
-runOnFreshThread(const SystemConfig &cfg, const FrameTrace &trace)
+runOnFreshThread(const SystemConfig &cfg, const FrameTrace &trace,
+                 Image *image = nullptr)
 {
     FrameResult r;
-    std::thread worker(
-        [&] { r = runScheme(Scheme::ChopinCompSched, cfg, trace); });
+    std::thread worker([&] {
+        r = runScheme(Scheme::ChopinCompSched, cfg, trace, nullptr, image);
+    });
     worker.join();
     return r;
 }
@@ -173,8 +177,6 @@ expectSameResult(const FrameResult &got, const FrameResult &want,
                                metricsDiff<FrameAccounting>(got, want));
     EXPECT_EQ(got.frame_hash, want.frame_hash) << what;
     EXPECT_EQ(got.content_hash, want.content_hash) << what;
-    EXPECT_EQ(compareImages(got.image, want.image).differing_pixels, 0)
-        << what;
 }
 
 TEST(ChopinEdge, SurfaceReuseAcrossRunsMatchesAFreshThread)
@@ -199,14 +201,17 @@ TEST(ChopinEdge, SurfaceReuseAcrossRunsMatchesAFreshThread)
         return g.blend_op == BlendOp::Multiply;
     }));
 
+    Image fresh_b_image, ref_b_image;
     const FrameResult fresh_a = runOnFreshThread(cfg_a, a);
-    const FrameResult fresh_b = runOnFreshThread(cfg_b, b);
+    const FrameResult fresh_b = runOnFreshThread(cfg_b, b, &fresh_b_image);
     ASSERT_GT(fresh_a.groups_distributed, 0u);
     // B's full clears must be right, not only repeatable: its image
     // matches the single-GPU reference up to the rounding of reassociated
     // Multiply merges.
-    FrameResult ref_b = runScheme(Scheme::SingleGpu, cfg_b, b);
-    EXPECT_EQ(compareImages(fresh_b.image, ref_b.image, 1e-5f)
+    runScheme(Scheme::SingleGpu, cfg_b, b, nullptr, &ref_b_image);
+    ASSERT_EQ(ref_b_image.width(), b.viewport.width);
+    ASSERT_EQ(ref_b_image.height(), b.viewport.height);
+    EXPECT_EQ(compareImages(fresh_b_image, ref_b_image, 1e-5f)
                   .differing_pixels,
               0);
 
@@ -221,6 +226,37 @@ TEST(ChopinEdge, SurfaceReuseAcrossRunsMatchesAFreshThread)
         expectSameResult(runScheme(Scheme::ChopinCompSched, cfg_a, a),
                          fresh_a, "A after B" + at);
     }
+}
+
+TEST(ChopinEdge, RenderTargetZeroReturnsToTheCacheUnlessItsImageIsTaken)
+{
+    // Without an image out parameter, a run gives every render target
+    // back to the thread's surface cache, so the next run allocates none.
+    // With one, render target 0's color image leaves with the caller, and
+    // the cache drops the emptied surface.
+    std::thread worker([] {
+        FrameTrace trace = generateBenchmark("mirror", 32);
+        ASSERT_GT(trace.num_render_targets, 1u);
+        SystemConfig cfg;
+        const SurfaceCache &cache = threadRenderScratch().surfaces;
+
+        FrameResult first = runScheme(Scheme::SingleGpu, cfg, trace);
+        EXPECT_EQ(cache.size(), trace.num_render_targets);
+
+        Image image;
+        FrameResult second =
+            runScheme(Scheme::SingleGpu, cfg, trace, nullptr, &image);
+        EXPECT_EQ(cache.size(), trace.num_render_targets - 1);
+        EXPECT_EQ(image.width(), trace.viewport.width);
+        EXPECT_EQ(image.height(), trace.viewport.height);
+        EXPECT_EQ(frameHash(image), second.frame_hash);
+
+        FrameResult third = runScheme(Scheme::SingleGpu, cfg, trace);
+        EXPECT_EQ(cache.size(), trace.num_render_targets);
+        expectSameResult(second, first, "with an image");
+        expectSameResult(third, first, "after giving an image away");
+    });
+    worker.join();
 }
 
 } // namespace

@@ -68,8 +68,7 @@ TEST(Gpupd, RunaheadNeverHurts)
     FrameResult without_r = runGpupd(without, testTrace(), false);
     EXPECT_LE(with_r.cycles, without_r.cycles);
     // Functionally identical either way.
-    EXPECT_EQ(compareImages(with_r.image, without_r.image).differing_pixels,
-              0);
+    EXPECT_EQ(with_r.frame_hash, without_r.frame_hash);
 }
 
 TEST(Gpupd, IdealHasNoDistributionStall)

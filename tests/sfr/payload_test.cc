@@ -44,7 +44,7 @@ TEST(CompPayload, GranularityNeverChangesTheImage)
 {
     FrameResult pixels = runWithPayload(CompPayload::WrittenPixels);
     FrameResult tiles = runWithPayload(CompPayload::FullTiles);
-    EXPECT_EQ(compareImages(pixels.image, tiles.image).differing_pixels, 0);
+    EXPECT_EQ(pixels.frame_hash, tiles.frame_hash);
 }
 
 TEST(TileAssignmentInvariance, BlockedProducesTheSameImage)
@@ -60,11 +60,9 @@ TEST(TileAssignmentInvariance, BlockedProducesTheSameImage)
                                      false});
     // Ownership only decides which GPU holds which pixels; the composed
     // frame is identical.
-    EXPECT_EQ(compareImages(inter.image, blocked.image).differing_pixels,
-              0);
+    EXPECT_EQ(inter.frame_hash, blocked.frame_hash);
     FrameResult dup_blocked = runDuplication(cfg, testTrace());
-    EXPECT_EQ(
-        compareImages(inter.image, dup_blocked.image).differing_pixels, 0);
+    EXPECT_EQ(inter.frame_hash, dup_blocked.frame_hash);
 }
 
 TEST(CompPayload, Names)

@@ -7,6 +7,7 @@ CI:
 
   python3 tools/bench_json.py BENCH_frame.json
   python3 tools/bench_json.py BENCH_sweep.json --min-speedup 3.0
+  python3 tools/bench_json.py BENCH_sweep.json --max-rss-mb 400
   python3 tools/bench_json.py BENCH_frame.json --series timing --min-speedup 1.5
   python3 tools/bench_json.py BENCH_frame.json --series raster --min-speedup 1.5
   python3 tools/bench_json.py new.json --compare old.json
@@ -14,8 +15,9 @@ CI:
 Both producers share the contract: top-level `results` / `gmean_speedup` /
 `jobs_parallel`, per-result `bench, scheme, tris, ns_frame_serial,
 ns_frame_parallel, mtris_per_s, speedup, frame_hash, cycles`. sweep_all
-additionally emits a `cache` block (hit rates and per-phase counters),
-which is reported when present. perf_frame additionally emits the
+additionally emits the process's `peak_rss_mb` and a `cache` block (hit
+rates, per-phase counters and the cache directory's `dir_bytes`), which
+are reported when present. perf_frame additionally emits the
 epoch-parallel engine series (`timing_speedup`, `timing_ns_serial`,
 `timing_ns_parallel`, `timing_events`, `event_queue_ns_per_event`), the
 quad-rasterizer series (`raster_speedup`, `raster_ns_per_pixel`,
@@ -40,6 +42,11 @@ including the sequence hash, is bit-identical between the legs). gmean,
 timing and stream are only meaningful on multi-core machines; the harness
 itself already asserts bit-identical simulation results at every job
 count, which is the correctness gate.
+
+--max-rss-mb fails (exit 1) when the dump's `peak_rss_mb` exceeds the
+bound, and is a hard error on a dump without that key. On sweep_all it
+keeps retained results small: a result that carried pixels again would
+multiply the peak.
 
 --compare checks that frame hashes and simulated cycle counts of matching
 (bench, scheme) pairs are identical between two runs — e.g. a --jobs=1 run
@@ -92,6 +99,8 @@ def report(data: dict) -> None:
               f"{r['mtris_per_s']:>9.2f} "
               f"{r['speedup']:>7.2f}x")
     print(f"\ngeometric-mean speedup: {data['gmean_speedup']:.2f}x")
+    if "peak_rss_mb" in data:
+        print(f"peak RSS: {data['peak_rss_mb']:.1f} MB")
     if "timing_speedup" in data:
         print(f"epoch timing engine: {data['timing_speedup']:.2f}x speedup "
               f"({data.get('timing_events', '?')} events)")
@@ -113,6 +122,8 @@ def report(data: dict) -> None:
     if cache:
         print(f"result cache: dir={cache.get('dir', '?')} "
               f"warm hit rate {cache.get('warm_hit_rate', 0.0) * 100:.1f}%")
+        if "dir_bytes" in cache:
+            print(f"  directory size: {cache['dir_bytes'] / 1e6:.1f} MB")
         for phase in ("cold", "warm"):
             s = cache.get(phase)
             if s:
@@ -159,6 +170,9 @@ def main() -> int:
                              "frame-rendering gmean, the epoch-parallel "
                              "timing engine, or the SIMD quad rasterizer "
                              "(default: gmean)")
+    parser.add_argument("--max-rss-mb", type=float, default=None,
+                        help="fail if the dump's peak_rss_mb exceeds this "
+                             "bound")
     parser.add_argument("--compare", metavar="BASELINE", default=None,
                         help="check hashes/cycles against another dump")
     args = parser.parse_args()
@@ -182,6 +196,17 @@ def main() -> int:
             status = 1
         else:
             print(f"OK: {label} {g:.2f}x >= {args.min_speedup:.2f}x")
+    if args.max_rss_mb is not None:
+        if "peak_rss_mb" not in data:
+            sys.exit(f"{args.json_path}: missing key 'peak_rss_mb' "
+                     "(--max-rss-mb needs a dump that emits it)")
+        rss = data["peak_rss_mb"]
+        if rss > args.max_rss_mb:
+            print(f"FAIL: peak RSS {rss:.1f} MB > allowed "
+                  f"{args.max_rss_mb:.1f} MB", file=sys.stderr)
+            status = 1
+        else:
+            print(f"OK: peak RSS {rss:.1f} MB <= {args.max_rss_mb:.1f} MB")
     return status
 
 

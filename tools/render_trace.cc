@@ -90,16 +90,18 @@ main(int argc, char **argv)
     cfg.num_gpus = static_cast<unsigned>(gpus);
     Scheme scheme = schemeByName(cli.getString("scheme"));
     Tracer tracer;
+    Image image;
     FrameResult r = runScheme(scheme, cfg, trace,
-                              trace_out.empty() ? nullptr : &tracer);
+                              trace_out.empty() ? nullptr : &tracer, &image);
 
     std::cout << toString(scheme) << " on " << cfg.num_gpus
               << " GPU(s): " << r.cycles << " cycles, "
               << formatMb(r.traffic.total) << " MB inter-GPU traffic\n";
 
     if (cli.getBool("verify") && scheme != Scheme::SingleGpu) {
-        FrameResult reference = runSingleGpu(cfg, trace);
-        ImageDiff diff = compareImages(reference.image, r.image, 2e-4f);
+        Image reference;
+        runSingleGpu(cfg, trace, nullptr, &reference);
+        ImageDiff diff = compareImages(reference, image, 2e-4f);
         if (diff.differing_pixels != 0)
             fatal("image mismatch: ", diff.differing_pixels,
                   " pixels differ from the single-GPU reference");
@@ -118,7 +120,7 @@ main(int argc, char **argv)
                   << " spans)\n";
     }
 
-    if (!r.image.writePpm(out_path))
+    if (!image.writePpm(out_path))
         fatal("cannot write '", out_path, "'");
     std::cout << "wrote " << out_path << "\n";
     return 0;

@@ -17,6 +17,8 @@ fixture dumps under tests/data/bench_json/:
                     corrupted — what a determinism regression looks like —
                     and without the timing/raster/stream series keys (an
                     old dump)
+  run_sweep.json    a sweep_all dump: cache block with the directory's
+                    byte count, peak RSS 412.3 MB
 
 Registered as the `bench_json_selftest` ctest. Usage:
 
@@ -147,6 +149,24 @@ def main() -> int:
            runTool(root, badhash, "--series", "timing",
                    "--min-speedup", "1.5"),
            want_exit=1, want_in_output="missing key 'timing_speedup'")
+
+    # The peak-RSS gate (sweep_all): reported with the cache directory's
+    # size, accepted under the bound, rejected over it, and a hard error
+    # on a dump that does not emit the key.
+    sweep = str(data / "run_sweep.json")
+    expect("sweep peak RSS reported", runTool(root, sweep),
+           want_exit=0, want_in_output="peak RSS: 412.3 MB")
+    expect("sweep cache size reported", runTool(root, sweep),
+           want_exit=0, want_in_output="directory size: 2.5 MB")
+    expect("max-rss-mb accepts run_sweep",
+           runTool(root, sweep, "--max-rss-mb", "800"),
+           want_exit=0, want_in_output="OK: peak RSS 412.3 MB")
+    expect("max-rss-mb rejects run_sweep",
+           runTool(root, sweep, "--max-rss-mb", "400"),
+           want_exit=1, want_in_output="FAIL: peak RSS 412.3 MB")
+    expect("max-rss-mb on a dump without the key is a hard error",
+           runTool(root, fast, "--max-rss-mb", "800"),
+           want_exit=1, want_in_output="missing key 'peak_rss_mb'")
 
     # Malformed input (missing top-level keys) is a hard error, not a pass.
     expect("malformed dump rejected",
