@@ -15,12 +15,7 @@
  * determinism oracle, not the metric. Writes a JSON summary (default
  * BENCH_frame.json) consumed by tools/bench_json.py.
  *
- * Two engine-level series ride along in the same JSON:
- *  - `timing_speedup`: wall-clock serial/parallel ratio of the
- *    epoch-parallel timing engine (sim/parallel_engine.hh) on a synthetic
- *    cross-partition workload with a checksum oracle — the scalability
- *    gate for the ParallelEngine itself, independent of renderer cost
- *    (gated in CI via bench_json.py --series timing --min-speedup).
+ * Three engine-level series ride along in the same JSON:
  *  - `event_queue_ns_per_event`: schedule+dispatch cost of one EventQueue
  *    event with an inline (small-buffer) callback capture.
  *  - `raster_speedup`: ns/pixel of the quad rasterizer's native SIMD lanes
@@ -49,30 +44,17 @@
 #include <limits>
 
 #include "gfx/raster.hh"
-#include "net/interconnect.hh"
-#include "trace/generator.hh"
-#include "net/partitioned_net.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel_engine.hh"
 #include "stats/metrics.hh"
 #include "stats/report.hh"
+#include "trace/generator.hh"
 #include "util/rng.hh"
-#include "util/types.hh"
 
 namespace
 {
 
-using chopin::Bytes;
 using chopin::FrameAccounting;
 using chopin::FrameResult;
-using chopin::GpuId;
-using chopin::Interconnect;
-using chopin::LinkParams;
-using chopin::ParallelEngine;
-using chopin::PartitionedNet;
-using chopin::PartitionId;
-using chopin::Tick;
-using chopin::TrafficClass;
 
 /** Wall-clock nanoseconds of one invocation of @p fn (steady clock). */
 template <typename Fn>
@@ -139,107 +121,6 @@ double
 mtrisPerSecond(std::uint64_t tris, double ns)
 {
     return ns <= 0.0 ? 0.0 : static_cast<double>(tris) * 1000.0 / ns;
-}
-
-/** A few hundred nanoseconds of serially-dependent arithmetic, so one
- *  stress event is comparable to a real timing-model event (resource
- *  claims, span staging) rather than an empty callback — otherwise the
- *  epoch barrier cost dominates and the measurement says nothing. */
-std::uint64_t
-spinWork(std::uint64_t seed)
-{
-    std::uint64_t x = seed | 1;
-    for (int i = 0; i < 96; ++i) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-    }
-    return x;
-}
-
-struct EpochStressResult
-{
-    std::uint64_t checksum = 0;
-    std::uint64_t events = 0;
-    std::uint64_t epochs = 0;
-    bool used_barrier = false;
-};
-
-/**
- * The ParallelEngine scalability workload: 8 partitions exchanging
- * messages over a real Interconnect through PartitionedNet, each round
- * posting a batch of partition-local work events inside the lookahead
- * window. Every effect folds into a per-partition checksum, and the
- * final checksum also folds the interconnect counters — the oracle that
- * the serial and parallel executions were the same simulation.
- */
-EpochStressResult
-runEpochStress()
-{
-    constexpr unsigned n = 8;
-    constexpr int rounds = 40;
-    constexpr int batch = 192;
-
-    LinkParams link; // 64 B/cycle, 200-cycle latency
-    Interconnect net(n, link);
-    ParallelEngine engine(n, link.latency);
-    PartitionedNet pnet(net, engine);
-    std::vector<std::uint64_t> sums(n, 0); // [p] touched only by partition p
-
-    struct Round
-    {
-        ParallelEngine *engine;
-        PartitionedNet *pnet;
-        std::vector<std::uint64_t> *sums;
-        unsigned n;
-
-        void
-        run(PartitionId p, int remaining) const
-        {
-            Tick now = engine->now(p);
-            for (int i = 0; i < batch; ++i) {
-                engine->postAt(p, now + 1 + static_cast<Tick>(i % 7),
-                               [this, p, i]() {
-                                   (*sums)[p] +=
-                                       spinWork((*sums)[p] +
-                                                static_cast<std::uint64_t>(i));
-                               });
-            }
-            GpuId dst = (p + 1) % n;
-            pnet->send(p, dst, 4096 + 64 * static_cast<Bytes>(p), now,
-                       TrafficClass::Composition, [this, dst]() {
-                           (*sums)[dst] ^= spinWork(engine->now(dst));
-                       });
-            if (remaining > 0) {
-                engine->postAt(p, now + engine->lookahead(),
-                               [this, p, remaining]() {
-                                   run(p, remaining - 1);
-                               });
-            }
-        }
-    };
-    Round round{&engine, &pnet, &sums, n};
-
-    for (PartitionId p = 0; p < n; ++p)
-        engine.postAt(p, p * 3, [&round, p]() { round.run(p, rounds); });
-    Tick end = engine.run();
-
-    EpochStressResult r;
-    r.events = engine.eventsExecuted();
-    r.epochs = engine.epochs();
-    r.used_barrier = engine.usedBarrierPath();
-    std::uint64_t cs = 1469598103934665603ull;
-    auto fold = [&cs](std::uint64_t v) {
-        cs = (cs ^ v) * 1099511628211ull;
-    };
-    for (std::uint64_t s : sums)
-        fold(s);
-    fold(end);
-    fold(net.traffic().total);
-    fold(net.traffic().messages);
-    fold(net.lastDelivery());
-    r.checksum = cs;
-    return r;
 }
 
 /** Schedule+dispatch cost of one EventQueue event whose capture fits the
@@ -480,44 +361,6 @@ main(int argc, char **argv)
                   formatDouble(gmean_speedup, 2) + "x"});
     h.emit(table);
 
-    // Epoch-parallel engine scalability: the same synthetic workload run
-    // serially and on the pool must produce the same checksum (bit-identical
-    // simulation), and the wall-clock ratio is the `timing_speedup` series
-    // gated in CI. The serial run must never touch the barrier machinery.
-    double timing_ns_serial = std::numeric_limits<double>::infinity();
-    double timing_ns_parallel = std::numeric_limits<double>::infinity();
-    std::uint64_t timing_checksum = 0;
-    std::uint64_t timing_events = 0;
-
-    setGlobalJobs(1);
-    for (int rep = 0; rep < repeat; ++rep) {
-        EpochStressResult r;
-        double ns = elapsedNs([&] { r = runEpochStress(); });
-        chopin_assert(!r.used_barrier,
-                      "epoch stress: --jobs=1 entered the barrier path");
-        chopin_assert(rep == 0 || r.checksum == timing_checksum,
-                      "epoch stress: serial repetitions diverged");
-        timing_checksum = r.checksum;
-        timing_events = r.events;
-        timing_ns_serial = std::min(timing_ns_serial, ns);
-    }
-
-    setGlobalJobs(jobs_parallel);
-    for (int rep = 0; rep < repeat; ++rep) {
-        EpochStressResult r;
-        double ns = elapsedNs([&] { r = runEpochStress(); });
-        chopin_assert(r.used_barrier == (jobs_parallel > 1),
-                      "epoch stress: unexpected execution path at --jobs=",
-                      jobs_parallel);
-        chopin_assert(r.checksum == timing_checksum,
-                      "epoch stress: --jobs=", jobs_parallel,
-                      " checksum diverged from --jobs=1");
-        timing_ns_parallel = std::min(timing_ns_parallel, ns);
-    }
-    double timing_speedup = timing_ns_parallel > 0.0
-                                ? timing_ns_serial / timing_ns_parallel
-                                : 1.0;
-
     double event_queue_ns = measureEventQueueNs(repeat);
 
     // Quad-rasterizer series: native SIMD lanes vs the one-pixel scalar
@@ -624,12 +467,7 @@ main(int argc, char **argv)
                   hybrid_run.ns_parallel
             : 0.0;
 
-    std::cout << "\nepoch engine: " << timing_events << " events, "
-              << formatDouble(timing_ns_serial / 1e6, 2) << " ms j1, "
-              << formatDouble(timing_ns_parallel / 1e6, 2) << " ms j"
-              << jobs_parallel << ", timing speedup "
-              << formatDouble(timing_speedup, 2) << "x\n"
-              << "event queue: "
+    std::cout << "\nevent queue: "
               << formatDouble(event_queue_ns, 1) << " ns/event\n"
               << "raster kernel: " << simd::kNativeBackend << " x"
               << simd::NativeLanes::width << ", "
@@ -661,10 +499,6 @@ main(int argc, char **argv)
         w.field("jobs_parallel", jobs_parallel);
         w.field("repeat", repeat);
         w.field("gmean_speedup", gmean_speedup);
-        w.field("timing_speedup", timing_speedup);
-        w.field("timing_ns_serial", timing_ns_serial);
-        w.field("timing_ns_parallel", timing_ns_parallel);
-        w.field("timing_events", timing_events);
         w.field("event_queue_ns_per_event", event_queue_ns);
         w.field("raster_speedup", raster_speedup);
         w.field("raster_ns_per_pixel", raster_ns_per_pixel);

@@ -62,8 +62,10 @@ namespace chopin
  * store) instead of aliasing. v2: the accounting payload is the metric
  * registry's wire format (stats/metrics.hh) instead of hand-listed fields.
  * v3: no image; a checksum of every preceding byte precedes the end magic.
+ * v4: SystemConfig lost its epoch-timing field, so every config
+ * fingerprint changed.
  */
-inline constexpr std::uint32_t resultSchemaVersion = 3;
+inline constexpr std::uint32_t resultSchemaVersion = 4;
 
 /**
  * The cache version binaries actually use (the SweepOptions default):

@@ -73,59 +73,6 @@ Interconnect::transfer(GpuId src, GpuId dst, Bytes bytes, Tick earliest,
     return delivery;
 }
 
-Tick
-Interconnect::commitTransfer(GpuId src, GpuId dst, Bytes bytes,
-                             Tick egress_begin, TrafficClass cls)
-{
-    seq.assertHeld("Interconnect::commitTransfer");
-    CHOPIN_ASSERT(src < gpus && dst < gpus && src != dst,
-                  "bad transfer ", src, " -> ", dst);
-
-    Tick duration = transferCycles(bytes);
-    Resource &out = egress[src];
-    Resource &in = ingress[dst];
-    Resource &link = links[linkIndex(src, dst)];
-
-    // Replay the sender's partition-local egress claim; per-source commit
-    // order is ascending in egress_begin, so the central port's busy-until
-    // sequence matches the mirror's exactly.
-    CHOPIN_ASSERT(egress_begin >= out.freeAt(),
-                  "egress commit out of order for GPU ", src, ": ",
-                  egress_begin, " < ", out.freeAt());
-    out.claim(egress_begin, duration);
-
-    // The link and the destination ingress are the shared resources the
-    // sender could not see; contention pushes the wire occupation (and the
-    // delivery), never the already-committed egress read-out.
-    Tick start = std::max({egress_begin, in.freeAt(), link.freeAt()});
-    in.claim(start, duration);
-    link.claim(start, duration);
-
-    // Injection-side accounting.
-    link_bytes[linkIndex(src, dst)] += bytes;
-    stats.total += bytes;
-    stats.by_class[static_cast<int>(cls)] += bytes;
-    stats.messages += 1;
-
-    // Delivery-side accounting: the message is in flight until `delivery`.
-    Tick delivery = start + duration + linkParams.latency;
-    delivered_bytes += bytes;
-    last_delivery = std::max(last_delivery, delivery);
-    inflight.acquire();
-    pending_deliveries.push(delivery);
-
-    if (tracer_ != nullptr) {
-        tracer_->span(egress_tracks[src], "net",
-                      std::string(trafficClassName(cls)) + "->gpu" +
-                          std::to_string(dst),
-                      start, start + duration,
-                      {{"bytes", bytes},
-                       {"requested", egress_begin},
-                       {"delivery", delivery}});
-    }
-    return delivery;
-}
-
 void
 Interconnect::setTracer(Tracer *t)
 {

@@ -142,26 +142,6 @@ class Interconnect
                   TrafficClass cls);
 
     /**
-     * Barrier-commit half of a partition-split transfer (PartitionedNet):
-     * the sender already serialized the message on its partition-local
-     * egress mirror, claiming [@p egress_begin, egress_begin + duration).
-     * This replays that claim on the central egress Resource (the mirror
-     * and the central port see identical claim sequences, because the
-     * commit order is sorted by egress_begin within each source) and then
-     * claims the shared link and destination ingress — the two resources a
-     * sender cannot see under the conservative-lookahead contract — at
-     * max(egress_begin, link free, ingress free). Accounting and the
-     * egress-track trace span are identical to transfer().
-     *
-     * Coordinator-only, called between epochs in the canonical
-     * (egress_begin, src, seq) commit order.
-     *
-     * @return the delivery time (contended start + duration + latency).
-     */
-    Tick commitTransfer(GpuId src, GpuId dst, Bytes bytes, Tick egress_begin,
-                        TrafficClass cls);
-
-    /**
      * Reserve GPU @p gpu's ingress port until @p until: the GPU cannot
      * service incoming composition messages while it is still rendering.
      */

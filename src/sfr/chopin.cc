@@ -22,11 +22,9 @@
 #include "gfx/renderer.hh"
 #include "sfr/comp_scheduler.hh"
 #include "sfr/context.hh"
-#include "sfr/epoch_compose.hh"
 #include "sfr/grouping.hh"
 #include "sfr/partition_render.hh"
 #include "sfr/schemes.hh"
-#include "sim/parallel_engine.hh"
 #include "util/log.hh"
 #include "util/thread_pool.hh"
 #include "util/types.hh"
@@ -61,14 +59,10 @@ struct ChopinRun
     Color sub_clear_color;
     float sub_clear_depth = 1.0f;
     Tick t = 0;
-    /** Epoch-parallel timing opted in and usable for this run (real links,
-     *  more than one GPU); see sfr/epoch_compose.hh. */
-    bool use_epoch = false;
 
     ChopinRun(SimContext &sim_ctx, const ChopinOptions &run_opts)
         : ctx(sim_ctx), opts(run_opts),
-          sched(ctx.pipes, opts.policy, ctx.cfg.sched_update_tris),
-          use_epoch(epochTimingEligible(ctx.cfg, ctx.net.params()))
+          sched(ctx.pipes, opts.policy, ctx.cfg.sched_update_tris)
     {
         SurfaceCache &cache = threadRenderScratch().surfaces;
         subs.reserve(ctx.cfg.num_gpus);
@@ -276,16 +270,9 @@ struct ChopinRun
             *std::max_element(job.ready.begin(), job.ready.end());
 
         CompositionTiming timing =
-            use_epoch
-                ? (opts.comp_scheduler
-                       ? composeOpaqueScheduledEpoch(job, ctx.net,
-                                                     ctx.cfg.timing)
-                       : composeOpaqueDirectSendEpoch(job, ctx.net,
-                                                      ctx.cfg.timing))
-                : (opts.comp_scheduler
-                       ? composeOpaqueScheduled(job, ctx.net, ctx.cfg.timing)
-                       : composeOpaqueDirectSend(job, ctx.net,
-                                                 ctx.cfg.timing));
+            opts.comp_scheduler
+                ? composeOpaqueScheduled(job, ctx.net, ctx.cfg.timing)
+                : composeOpaqueDirectSend(job, ctx.net, ctx.cfg.timing);
         ctx.breakdown.composition +=
             timing.end > max_ready ? timing.end - max_ready : 0;
         if (ctx.tracer != nullptr && timing.end > max_ready)
@@ -385,53 +372,14 @@ struct ChopinRun
         });
 
         Tick group_start = t;
-        if (use_epoch && ctx.tracer == nullptr && count > 0) {
-            // Partition replay of the driver-issue loop: per-GPU pipeline
-            // submissions become events on that GPU's partition of a fully
-            // decoupled engine (no cross-partition effects, so the
-            // lookahead window is unbounded and the whole group is one
-            // epoch). The scheduler accounting, functional totals and the
-            // cull-retention mutation stay on the coordinator — they are
-            // cross-GPU sequential state. Requires no tracer: submitDraw
-            // emits spans directly, which is coordinator-only.
-            std::vector<DrawStats> stats_timed(count);
-            for (std::uint32_t k = 0; k < count; ++k) {
-                const DrawCommand &cmd =
-                    ctx.trace.draws[group.first_draw + k];
-                sched.accountExternal(assignment[k], cmd.triangleCount());
-                ctx.totals += draw_stats[k];
-                stats_timed[k] = ctx.applyCullRetention(draw_stats[k]);
-            }
-            ParallelEngine engine(n, kTickMax);
-            for (std::uint32_t k = 0; k < count; ++k) {
-                GpuPipeline *pipe = &ctx.pipes[assignment[k]];
-                const DrawStats *stats = &stats_timed[k];
-                DrawId id = ctx.trace.draws[group.first_draw + k].id;
-                Tick issue = t;
-                // submitDraw only reaches Tracer::span when a tracer is
-                // attached, and this branch requires ctx.tracer == nullptr
-                // (checked above) — both the static reach path and the
-                // pipe->tracer alias are dead here.
-                engine.postAt(
-                    static_cast<PartitionId>(assignment[k]), issue,
-                    // chopin-analyze: allow(seq-reach, partition-escape)
-                    [pipe, id, stats, issue]() {
-                        pipe->submitDraw(id, *stats, issue);
-                    });
-                t += ctx.cfg.timing.driver_issue_cycles;
-            }
-            engine.run();
-        } else {
-            for (std::uint32_t k = 0; k < count; ++k) {
-                const DrawCommand &cmd =
-                    ctx.trace.draws[group.first_draw + k];
-                GpuId g = assignment[k];
-                sched.accountExternal(g, cmd.triangleCount());
-                ctx.totals += draw_stats[k];
-                ctx.pipes[g].submitDraw(
-                    cmd.id, ctx.applyCullRetention(draw_stats[k]), t);
-                t += ctx.cfg.timing.driver_issue_cycles;
-            }
+        for (std::uint32_t k = 0; k < count; ++k) {
+            const DrawCommand &cmd = ctx.trace.draws[group.first_draw + k];
+            GpuId g = assignment[k];
+            sched.accountExternal(g, cmd.triangleCount());
+            ctx.totals += draw_stats[k];
+            ctx.pipes[g].submitDraw(
+                cmd.id, ctx.applyCullRetention(draw_stats[k]), t);
+            t += ctx.cfg.timing.driver_issue_cycles;
         }
 
         CompositionJob job = makeJob(group_start);

@@ -14,7 +14,8 @@ namespace chopin
 namespace
 {
 
-constexpr Bytes bytesPerPixel = kCompositionBytesPerPixel;
+/** Wire size of one composed pixel: RGBA8 color + 32-bit depth/coverage. */
+constexpr Bytes bytesPerPixel = 8;
 
 /** Local ROP cost of merging each GPU's own-region pixels. */
 void
@@ -28,8 +29,7 @@ applySelfMerge(const CompositionJob &job, const TimingParams &timing,
     }
 }
 
-} // namespace
-
+/** One whole-algorithm span on the comp_scheduler track (if tracing). */
 void
 traceComposition(const CompositionJob &job, Interconnect &net,
                  const char *algorithm, const CompositionTiming &out)
@@ -44,6 +44,22 @@ traceComposition(const CompositionJob &job, Interconnect &net,
               {"gpus", job.num_gpus}});
 }
 
+/**
+ * Composition-ownership invariant of a job: vectors are sized for
+ * num_gpus, the diagonal of pair_pixels is empty, and no sub-image
+ * exceeds the screen. With @p opaque_routing (the opaque composers, which
+ * route regions through the pair matrix), additionally every touched
+ * sub-image pixel must be routed to exactly one destination: per GPU
+ * self_pixels + sum over dst of pair_pixels == subimage_pixels.
+ * Transparent composers move whole partial composites and ignore the pair
+ * matrix, so only the weak form applies. Fails through the check layer;
+ * called by every compose* entry point.
+ *
+ * Also asserts the sequential-ownership contract (util/sequential.hh):
+ * composition timing mutates the coordinator-owned Interconnect, so no
+ * compose* function may run inside a parallelFor region. The per-GPU
+ * *functional* merges stay parallel; only the timing model is serial.
+ */
 void
 checkCompositionJob(const CompositionJob &job, bool opaque_routing)
 {
@@ -75,6 +91,8 @@ checkCompositionJob(const CompositionJob &job, bool opaque_routing)
                       " touched");
     }
 }
+
+} // namespace
 
 CompositionTiming
 composeOpaqueDirectSend(const CompositionJob &job, Interconnect &net,

@@ -23,6 +23,10 @@
  *    (a binary tree whose nodes fire at the max of their own children, not
  *    at a global barrier), then the holder distributes the composite to the
  *    region owners.
+ *
+ * Every compose* entry point checks the job's pixel-ownership invariant
+ * and mutates the coordinator-owned Interconnect, so none may run inside
+ * a parallelFor region (util/sequential.hh).
  */
 
 #ifndef CHOPIN_SFR_COMP_SCHEDULER_HH
@@ -37,10 +41,6 @@
 
 namespace chopin
 {
-
-/** Wire size of one composed pixel: RGBA8 color + 32-bit depth/coverage.
- *  Shared by every composition timing algorithm (serial and epoch). */
-inline constexpr Bytes kCompositionBytesPerPixel = 8;
 
 /** Inputs of one composition phase (one group). */
 struct CompositionJob
@@ -75,36 +75,12 @@ struct CompositionJob
     }
 };
 
-/**
- * Composition-ownership invariant of a job: vectors are sized for
- * num_gpus, the diagonal of pair_pixels is empty, and no sub-image
- * exceeds the screen. With @p opaque_routing (the opaque composers, which
- * route regions through the pair matrix), additionally every touched
- * sub-image pixel must be routed to exactly one destination: per GPU
- * self_pixels + sum over dst of pair_pixels == subimage_pixels.
- * Transparent composers move whole partial composites and ignore the pair
- * matrix, so only the weak form applies. Fails through the check layer;
- * called by every compose* entry point.
- *
- * Also asserts the sequential-ownership contract (util/sequential.hh):
- * composition timing mutates the coordinator-owned Interconnect, so no
- * compose* function may run inside a parallelFor region. The per-GPU
- * *functional* merges stay parallel; only the timing model is serial.
- */
-void checkCompositionJob(const CompositionJob &job, bool opaque_routing);
-
 /** Timing outcome of one composition phase. */
 struct CompositionTiming
 {
     Tick end = 0;               ///< all sub-images composed
     std::vector<Tick> gpu_done; ///< per-GPU completion
 };
-
-/** One whole-algorithm span on the comp_scheduler track (if tracing).
- *  Shared by the serial composers here and the epoch composers
- *  (sfr/epoch_compose.hh); coordinator-only. */
-void traceComposition(const CompositionJob &job, Interconnect &net,
-                      const char *algorithm, const CompositionTiming &out);
 
 /** Naive direct-send composition of an opaque group. */
 CompositionTiming composeOpaqueDirectSend(const CompositionJob &job,

@@ -9,8 +9,9 @@ std::uint64_t
 SystemConfig::fingerprint() const
 {
     Fingerprinter fp;
-    // A bumpable layout tag: if a field changes *meaning* (rather than
-    // being added, which the field count below already catches), bump it.
+    // A bumpable layout tag: if a field changes *meaning*, bump it. An
+    // added field that is missing here is caught by the perturbation test
+    // in tests/sfr/config_fingerprint_test.cc.
     fp.str("SystemConfig/v1");
     fp.u64(num_gpus);
 
@@ -42,8 +43,7 @@ SystemConfig::fingerprint() const
         .f64(cull_retention)
         .u64(static_cast<std::uint64_t>(comp_payload))
         .u64(gpupd_batch_prims)
-        .boolean(gpupd_runahead)
-        .boolean(epoch_timing);
+        .boolean(gpupd_runahead);
     return fp.value();
 }
 

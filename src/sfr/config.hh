@@ -85,16 +85,6 @@ struct SystemConfig
      *  paper's runahead optimization). */
     bool gpupd_runahead = true;
 
-    // --- Host-simulator knobs ---------------------------------------------
-    /** Drive CHOPIN composition timing with the epoch-parallel engine
-     *  (sim/parallel_engine.hh) instead of the serial EventQueue. A
-     *  different — deterministic, job-count-invariant — timing algorithm,
-     *  not a faster identical one, hence fingerprinted. Requires real links
-     *  (latency >= 1) and more than one GPU; falls back to the serial path
-     *  otherwise. Default off: serial results stay byte-for-byte what they
-     *  were. See DESIGN.md §12. */
-    bool epoch_timing = false;
-
     /**
      * Canonical fingerprint over *every* field that can influence a
      * simulation, including the nested TimingParams and LinkParams. This is

@@ -1,13 +1,10 @@
 /**
  * @file
- * EventHeap: the (when, seq)-ordered binary heap underlying every event
- * queue in the simulator.
+ * EventHeap: the (when, seq)-ordered binary heap underlying EventQueue.
  *
- * Factored out of EventQueue so the partitioned queues of the epoch engine
- * (sim/partition.hh) share the exact same ordering semantics: events pop
- * in ascending Tick order, ties broken by ascending insertion sequence
- * (deterministic FIFO). The heap is capability-agnostic — callers guard it
- * with SequentialCap or PartitionCap as appropriate.
+ * Events pop in ascending Tick order, ties broken by ascending insertion
+ * sequence (deterministic FIFO). The heap is capability-agnostic; its
+ * owner guards it (EventQueue with its SequentialCap).
  *
  * Unlike std::priority_queue, pop() moves the entry out (no const_cast
  * workaround) and the backing vector is reservable.

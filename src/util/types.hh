@@ -27,7 +27,7 @@ using GroupId = std::uint32_t;
 inline constexpr GpuId invalidGpu = ~GpuId(0);
 
 /** Largest representable simulated time; "run forever" / "never" sentinel
- *  (EventQueue::run, epoch horizons). */
+ *  (EventQueue::run, EventHeap::nextWhen). */
 inline constexpr Tick kTickMax = ~Tick(0);
 
 /** Byte counts for traffic accounting. */

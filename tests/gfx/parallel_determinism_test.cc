@@ -94,102 +94,21 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-class EpochTimingDeterminismTest : public ::testing::TestWithParam<Scheme>
-{
-};
-
-TEST_P(EpochTimingDeterminismTest, JobsDoNotChangeEpochResults)
-{
-    // The epoch-parallel timing engine (SystemConfig::epoch_timing) is the
-    // one code path where the *timing model itself* runs on pool workers:
-    // composition partitions advance concurrently and exchange effects
-    // through barrier-committed mailboxes. Its determinism contract is the
-    // same as everything else's — any --jobs value, bit-identical results.
-    Scheme scheme = GetParam();
-    ScopedJobs restore(1);
-
-    SystemConfig cfg;
-    cfg.num_gpus = 8;
-    cfg.epoch_timing = true;
-
-    BenchmarkProfile profile = scaleProfile(benchmarkProfile("ut3"), 32);
-    for (int variant = 0; variant < 3; ++variant) {
-        BenchmarkProfile p = profile;
-        p.seed += static_cast<std::uint64_t>(variant) * 0x9e3779b97f4a7c15ull;
-        FrameTrace trace = generateTrace(p);
-
-        setGlobalJobs(1);
-        FrameResult serial = runScheme(scheme, cfg, trace);
-
-        for (unsigned jobs : {2u, 8u}) {
-            setGlobalJobs(jobs);
-            FrameResult parallel = runScheme(scheme, cfg, trace);
-            expectIdentical(serial, parallel,
-                            toString(scheme) + " epoch seed-variant " +
-                                std::to_string(variant) + " jobs=" +
-                                std::to_string(jobs));
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    EpochSchemes, EpochTimingDeterminismTest,
-    ::testing::Values(Scheme::Chopin, Scheme::ChopinCompSched),
-    [](const auto &info) {
-        std::string name = toString(info.param);
-        for (char &c : name)
-            if (!std::isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        return name;
-    });
-
-TEST(ParallelDeterminism, EpochTraceBytesIdenticalAcrossJobs)
-{
-    // With a tracer attached the epoch composers stage spans in
-    // per-partition SpanBuffers and flush them at the barriers in
-    // canonical (start, partition, seq) order — so even the exported
-    // timeline bytes must not depend on the host job count.
-    ScopedJobs restore(1);
-    SystemConfig cfg;
-    cfg.num_gpus = 4;
-    cfg.epoch_timing = true;
-    FrameTrace trace = generateBenchmark("ut3", 64);
-
-    for (Scheme scheme : {Scheme::Chopin, Scheme::ChopinCompSched}) {
-        std::string baseline;
-        for (unsigned jobs : {1u, 2u, 8u}) {
-            setGlobalJobs(jobs);
-            Tracer tracer;
-            runScheme(scheme, cfg, trace, &tracer);
-            EXPECT_GT(tracer.spanCount(), 0u) << toString(scheme);
-
-            std::ostringstream os;
-            tracer.exportChromeJson(os);
-            if (jobs == 1u) {
-                baseline = os.str();
-                continue;
-            }
-            EXPECT_TRUE(os.str() == baseline)
-                << toString(scheme) << " epoch jobs=" << jobs
-                << ": trace bytes differ (" << os.str().size() << " vs "
-                << baseline.size() << " bytes)";
-        }
-    }
-}
-
 TEST(ParallelDeterminism, TraceBytesIdenticalAcrossJobs)
 {
     // The exported timeline is part of the determinism contract: the span
     // sequence is emitted by coordinator-only code, so the Chrome JSON
     // must be byte-identical at any host --jobs value. Gpupd covers the
-    // projection/distribution spans, ChopinCompSched covers per-draw
-    // pipeline spans, interconnect transfers, sync and composition.
+    // projection/distribution spans, Chopin the direct-send composer's,
+    // ChopinCompSched per-draw pipeline spans, interconnect transfers,
+    // sync and scheduled composition.
     ScopedJobs restore(1);
     SystemConfig cfg;
     cfg.num_gpus = 4;
     FrameTrace trace = generateBenchmark("ut3", 64);
 
-    for (Scheme scheme : {Scheme::Gpupd, Scheme::ChopinCompSched}) {
+    for (Scheme scheme :
+         {Scheme::Gpupd, Scheme::Chopin, Scheme::ChopinCompSched}) {
         std::string baseline;
         for (unsigned jobs : {1u, 2u, 8u}) {
             setGlobalJobs(jobs);

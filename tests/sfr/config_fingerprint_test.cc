@@ -88,8 +88,6 @@ perturbEveryField()
         [](SystemConfig &c) { c.gpupd_batch_prims += 1; });
     add("gpupd_runahead",
         [](SystemConfig &c) { c.gpupd_runahead = !c.gpupd_runahead; });
-    add("epoch_timing",
-        [](SystemConfig &c) { c.epoch_timing = !c.epoch_timing; });
 
     return out;
 }

@@ -166,32 +166,6 @@ TEST(Sequence, CarryOverOverlapsTailsWithoutChangingLatency)
     EXPECT_LT(a.makespan, b.makespan);
 }
 
-TEST(Sequence, EpochTimingInvariantForSerialEquivalentSchemes)
-{
-    // epoch_timing swaps the CHOPIN composition timing engine; schemes
-    // that never route through it must be bit-identical either way, even
-    // across a whole stream.
-    SequenceTrace seq = testSequence(4);
-    SystemConfig cfg;
-    cfg.num_gpus = 8;
-    for (Scheme intra :
-         {Scheme::Duplication, Scheme::Gpupd, Scheme::SingleGpu}) {
-        SequenceOptions opt = options(SequenceScheme::HybridAfrSfr, 2);
-        opt.intra_scheme = intra;
-        SystemConfig off = cfg, on = cfg;
-        off.epoch_timing = false;
-        on.epoch_timing = true;
-        SequenceResult a = runSequence(opt, off, seq);
-        SequenceResult b = runSequence(opt, on, seq);
-        ASSERT_EQ(a.frames.size(), b.frames.size());
-        for (std::size_t i = 0; i < a.frames.size(); ++i)
-            EXPECT_TRUE(metricsEqual<FrameAccounting>(a.frames[i],
-                                                      b.frames[i]))
-                << toString(intra) << " frame " << i;
-        EXPECT_EQ(a.sequence_hash, b.sequence_hash);
-    }
-}
-
 TEST(Sequence, TracerGetsOneSpanPerFrame)
 {
     SequenceTrace seq = testSequence(4);

@@ -13,37 +13,20 @@ Layers (DESIGN.md §13):
      Abstract states are dicts (variable path -> abstract value); a
      block's out-state joins into each successor's in-state until no
      state changes. Joins at a block are counted and widened past a
-     visit budget, so loop-carried arithmetic terminates.
+     visit budget, so loop-carried state terminates.
 
   3. Function summaries — each function is solved to a summary (return
-     value, delivery-offset obligations on its parameters, return
      taint, parameter-to-sink flows). Summaries of callees feed the
      evaluation of call expressions, and the whole program iterates
      rounds over the cross-TU call graph until every summary is stable
      (bounded; the final round is fixpoint-consistent and is the one
      findings are reported from).
 
-Domains:
-
-  Interval (epoch-lookahead): values are `base + [lo, hi]` where each
-  bound is a *linear form* a·L + b over the symbolic engine lookahead L
-  (known only to satisfy L >= 1: PartitionedNet checks
-  `lookahead <= latency` and ParallelEngine requires lookahead >= 1).
-  `base` is "abs" (a plain number), "now" (relative to the sending
-  partition's engine/queue `now()` — any partition's now is >= the
-  epoch horizon, which is what makes the proof sound per-partition), or
-  ("param", i) (relative to parameter i, the interprocedural case).
-  A delivery offset is PROVEN safe iff its base is "now" and its lower
-  bound a·L + b satisfies a >= 1 and (a-1) + b >= 0 — i.e.
-  a·L + b >= L for every L >= 1. CHOPIN_CHECK/ASSERT/DCHECK statements
-  refine the state (`assume` nodes), so a runtime-checked invariant
-  becomes static knowledge downstream of the check.
-
-  Taint (det-taint): values are label sets. Sources: unordered-container
-  iteration order, thread ids, host wall-clock time, pointer-keyed
-  ordering (reinterpret_cast to [u]intptr_t). "param:i" pseudo-labels
-  seed parameters so flows through helpers summarize as
-  parameter-to-sink obligations checked at every call site.
+Domain (det-taint): values are label sets. Sources: unordered-container
+iteration order, thread ids, host wall-clock time, pointer-keyed
+ordering (reinterpret_cast to [u]intptr_t). "param:i" pseudo-labels
+seed parameters so flows through helpers summarize as
+parameter-to-sink obligations checked at every call site.
 """
 
 from __future__ import annotations
@@ -51,167 +34,8 @@ from __future__ import annotations
 import ir
 
 # ---------------------------------------------------------------------------
-# Linear forms a*L + b (L = symbolic lookahead, L >= 1). None = unbounded.
-
-INF = None
-
-
-def lin_add(p, q):
-    if p is None or q is None:
-        return None
-    return (p[0] + q[0], p[1] + q[1])
-
-
-def lin_sub(p, q):
-    if p is None or q is None:
-        return None
-    return (p[0] - q[0], p[1] - q[1])
-
-
-def lin_le(p, q):
-    """p <= q for every L >= 1 (slope and value-at-1 both ordered)."""
-    return p[0] <= q[0] and p[0] + p[1] <= q[0] + q[1]
-
-
-def lin_min(p, q):
-    if p is None or q is None:
-        return None
-    if lin_le(p, q):
-        return p
-    if lin_le(q, p):
-        return q
-    return None  # incomparable: drop the bound
-
-
-def lin_max(p, q):
-    if p is None:
-        return q
-    if q is None:
-        return p
-    if lin_le(p, q):
-        return q
-    if lin_le(q, p):
-        return p
-    return p  # incomparable: either is a valid (weaker) choice
-
-
-def lin_ge_lookahead(p) -> bool:
-    """a*L + b >= L for every L >= 1."""
-    return p is not None and p[0] >= 1 and (p[0] - 1) + p[1] >= 0
-
-
-def fmt_lin(p) -> str:
-    if p is None:
-        return "?"
-    a, b = p
-    if a == 0:
-        return str(b)
-    head = "L" if a == 1 else f"{a}L"
-    if b > 0:
-        return f"{head}+{b}"
-    if b < 0:
-        return f"{head}{b}"
-    return head
-
-
-# ---------------------------------------------------------------------------
-# Interval values: (base, lo, hi); base in {"abs", "now", ("param", i)};
-# None = completely unknown (TOP).
-
-
-def v_const(n):
-    return ("abs", (0, n), (0, n))
-
-
-V_NOW = ("now", (0, 0), (0, 0))
-V_LOOKAHEAD = ("abs", (1, 0), (1, 0))
-
-
-def _rel_base(base):
-    return base == "now" or (isinstance(base, tuple) and
-                             base[0] == "param")
-
-
-def v_add(a, b):
-    if a is None and b is None:
-        return None
-    if a is None or b is None:
-        known = a if a is not None else b
-        if _rel_base(known[0]):
-            return (known[0], None, None)
-        return None
-    ba, bb = a[0], b[0]
-    if ba == "abs":
-        base = bb
-    elif bb == "abs":
-        base = ba
-    else:
-        return None  # now+now / now+param: no usable base
-    return (base, lin_add(a[1], b[1]), lin_add(a[2], b[2]))
-
-
-def v_sub(a, b):
-    if a is None:
-        return None
-    if b is None or b[0] != "abs":
-        return (a[0], None, None) if _rel_base(a[0]) else None
-    return (a[0], lin_sub(a[1], b[2]), lin_sub(a[2], b[1]))
-
-
-def v_mul(a, b):
-    if a is None or b is None:
-        return None
-    if a[0] != "abs" or b[0] != "abs":
-        return None
-    # Exact nonnegative constant times an exact linear form (either
-    # order): n * (cL + d) = (nc)L + nd — covers `2 * lookahead()`.
-    for x, y in ((a, b), (b, a)):
-        if x[1] is not None and x[1] == x[2] and x[1][0] == 0:
-            n = x[1][1]
-            if n >= 0 and y[1] is not None and y[1] == y[2]:
-                c, d = y[1]
-                return ("abs", (n * c, n * d), (n * c, n * d))
-    return None
-
-
-def v_join(a, b):
-    if a is None or b is None or a[0] != b[0]:
-        return None
-    # Upper bound: None means unbounded and dominates (lin_max treats
-    # None as "no bound yet", which is the lower-bound convention).
-    hi = None if a[2] is None or b[2] is None else lin_max(a[2], b[2])
-    return (a[0], lin_min(a[1], b[1]), hi)
-
-
-def v_widen(old, new):
-    if old is None or new is None or old[0] != new[0]:
-        return None
-    return (old[0],
-            old[1] if old[1] == new[1] else None,
-            old[2] if old[2] == new[2] else None)
-
-
-def v_provable(v) -> bool:
-    return v is not None and v[0] == "now" and lin_ge_lookahead(v[1])
-
-
-def fmt_val(v) -> str:
-    if v is None:
-        return "unknown"
-    base, lo, hi = v
-    if base == "abs":
-        head = ""
-    elif base == "now":
-        head = "now+"
-    else:
-        head = f"arg#{base[1]}+"
-    return f"{head}[{fmt_lin(lo)}, {fmt_lin(hi)}]"
-
-
-# ---------------------------------------------------------------------------
 # CFG lowering.
 
-_FLAT = ("decl", "asg", "ret", "assume", "expr", "iterset")
 _MAX_JOINS = 24
 
 
@@ -340,354 +164,6 @@ def callee_candidates(model, node):
 
 def simple_callee(node) -> str:
     return node.get("name", "").split(".")[-1].split("::")[-1]
-
-
-# ---------------------------------------------------------------------------
-# Interval analysis (epoch-lookahead).
-
-_WHEN_ARG = {"sendAt": 2, "postAt": 1}
-
-
-class IntervalAnalysis:
-    """Per-function interval propagation with interprocedural summaries.
-
-    Summary: {"ret": value, "when": [(param_idx, add_lo, ordinal)]}
-    — `when` entries are delivery-offset obligations this function
-    forwards to its callers (a sendAt/postAt whose `when` argument is
-    relative to parameter `param_idx`).
-    """
-
-    def __init__(self, fn, model, summaries, check_postat):
-        self.fn = fn
-        self.model = model
-        self.summaries = summaries
-        self.check_postat = check_postat
-        self.param_names = [p["name"] for p in fn.get("params", [])]
-        self.recording = False
-        self.ret_acc = "bottom"
-        self.obligations: list[tuple] = []   # (param_idx, lo, ordinal)
-        self.sites: list[dict] = []          # local findings
-        self._ordinals: dict[str, int] = {}
-
-    # -- framework interface --
-
-    def initial(self):
-        s = {}
-        for i, name in enumerate(self.param_names):
-            s[name] = (("param", i), (0, 0), (0, 0))
-        return s
-
-    def join_state(self, a, b):
-        out = {}
-        for k in a.keys() & b.keys():
-            v = v_join(a[k], b[k])
-            if v is not None:
-                out[k] = v
-        return out
-
-    def widen_state(self, old, new):
-        # Componentwise: a loop that only advances a delivery tick keeps
-        # its stable lower bound while the growing upper bound widens to
-        # unbounded (v_widen), so `at += lookahead()` stays provable.
-        out = {}
-        for k, v in new.items():
-            if k not in old:
-                continue
-            if old[k] == v:
-                out[k] = v
-            else:
-                w = v_widen(old[k], v)
-                if w is not None:
-                    out[k] = w
-        return out
-
-    def transfer(self, st, s):
-        k = st["k"]
-        if k == "expr":
-            self._eval(st.get("e"), s)
-            return s
-        if k == "decl":
-            v = self._eval(st["init"], s) if st.get("init") else None
-            self._set(s, st["name"], v)
-        elif k == "asg":
-            dst = st["dst"]
-            key = dst.get("path") if dst.get("k") == "name" else None
-            if key is None:
-                self._eval(dst, s)  # e.g. subscripted destination
-            rhs = self._eval(st["rhs"], s)
-            if key is None:
-                return s
-            op = st.get("op", "=")
-            if op == "=":
-                self._set(s, key, rhs)
-            elif op == "+=":
-                self._set(s, key, v_add(s.get(key), rhs))
-            elif op == "-=":
-                self._set(s, key, v_sub(s.get(key), rhs))
-            else:
-                self._set(s, key, None)
-        elif k == "assume":
-            self._refine(st.get("c"), s)
-        elif k == "ret":
-            if self.recording and st.get("e") is not None:
-                v = self._eval(st["e"], s)
-                self.ret_acc = v if self.ret_acc == "bottom" \
-                    else v_join(self.ret_acc, v)
-        elif k == "iterset":
-            self._set(s, st.get("var", ""), None)
-        return s
-
-    # -- helpers --
-
-    @staticmethod
-    def _set(s, key, v):
-        if not key:
-            return
-        if v is None:
-            s.pop(key, None)
-        else:
-            s[key] = v
-
-    def _refine(self, c, s):
-        if not isinstance(c, dict) or c.get("k") != "bin":
-            return
-        op = c.get("op")
-        if op == "&&":
-            self._refine(c.get("l"), s)
-            self._refine(c.get("r"), s)
-            return
-        if op not in ("<", ">", "<=", ">="):
-            return
-        l, r = c.get("l"), c.get("r")
-        # Normalize to `name OP expr` with OP in {>=, >, <=, <}.
-        if isinstance(l, dict) and l.get("k") == "name":
-            name, e, rel = l["path"], r, op
-        elif isinstance(r, dict) and r.get("k") == "name":
-            flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
-            name, e, rel = r["path"], l, flip[op]
-        else:
-            return
-        ev = self._eval(e, s)
-        if ev is None:
-            return
-        cur = s.get(name)
-        if rel in (">=", ">"):
-            lo = ev[1]
-            if rel == ">" and lo is not None:
-                lo = lin_add(lo, (0, 1))
-            if lo is None:
-                return
-            if cur is None:
-                s[name] = (ev[0], lo, None)
-            elif cur[0] == ev[0]:
-                s[name] = (cur[0], lin_max(cur[1], lo), cur[2])
-            elif isinstance(cur[0], tuple) and cur[0][0] == "param" and \
-                    ev[0] == "abs":
-                # A checked absolute lower bound on a parameter value:
-                # the bound is the useful downstream fact (it is what
-                # makes `now() + delay` provable after
-                # `CHOPIN_CHECK(delay >= lookahead())`), so it replaces
-                # the param-relative identity.
-                s[name] = ("abs", lo, None)
-        else:
-            hi = ev[2]
-            if rel == "<" and hi is not None:
-                hi = lin_add(hi, (0, -1))
-            if hi is None:
-                return
-            if cur is None:
-                s[name] = (ev[0], None, hi)
-            elif cur[0] == ev[0]:
-                s[name] = (cur[0], cur[1], lin_min(cur[2], hi))
-
-    def _eval(self, e, s):
-        if not isinstance(e, dict):
-            return None
-        k = e.get("k")
-        if k == "num":
-            v = e.get("v", 0)
-            return v_const(v) if isinstance(v, int) else None
-        if k == "name":
-            return s.get(e.get("path", ""))
-        if k == "bin":
-            l = self._eval(e.get("l"), s)
-            r = self._eval(e.get("r"), s)
-            op = e.get("op")
-            if op == "+":
-                return v_add(l, r)
-            if op == "-":
-                return v_sub(l, r)
-            if op == "*":
-                return v_mul(l, r)
-            return None
-        if k == "un":
-            inner = self._eval(e.get("e"), s)
-            if e.get("op") == "-":
-                return v_sub(v_const(0), inner)
-            return None
-        if k == "cast":
-            return self._eval(e.get("e"), s)
-        if k == "cond":
-            self._eval(e.get("c"), s)
-            return v_join(self._eval(e.get("t"), s),
-                          self._eval(e.get("f"), s))
-        if k == "call":
-            return self._eval_call(e, s)
-        if k in ("idx", "mem"):
-            self._eval(e.get("base"), s)
-            self._eval(e.get("index"), s)
-            self._eval(e.get("e"), s)
-            return None
-        if k == "init":
-            for a in e.get("args", []):
-                self._eval(a, s)
-            return None
-        return None
-
-    def _eval_call(self, e, s):
-        args = [self._eval(a, s) for a in e.get("args", [])]
-        simple = simple_callee(e)
-        if simple in _WHEN_ARG and self.recording:
-            self._observe_when(e, args, s)
-        if simple == "now":
-            return V_NOW
-        if simple == "lookahead":
-            return V_LOOKAHEAD
-        if simple == "max":
-            # max(a, b) >= each arg: any now-relative arg's lower bound
-            # is a valid lower bound of the result.
-            best = None
-            for a in args:
-                if a is not None and a[0] == "now" and a[1] is not None:
-                    if best is None or lin_le(best[1], a[1]):
-                        best = ("now", a[1], None)
-            if best is not None:
-                return best
-            if all(a is not None and a[0] == "abs" for a in args) \
-                    and args:
-                lo = args[0][1]
-                for a in args[1:]:
-                    lo = lin_max(lo, a[1]) if lo is not None else a[1]
-                return ("abs", lo, None)
-            return None
-        if simple == "min":
-            if args and all(a is not None and a[0] == args[0][0]
-                            for a in args):
-                lo = args[0][1]
-                hi = args[0][2]
-                for a in args[1:]:
-                    lo = lin_min(lo, a[1])
-                    hi = lin_min(hi, a[2]) if hi is not None and \
-                        a[2] is not None else None
-                return (args[0][0], lo, hi)
-            return None
-        # Summary-based resolution.
-        out = "bottom"
-        for cand in callee_candidates(self.model, e):
-            summ = self.summaries.get(cand["id"])
-            if summ is None:
-                continue
-            v = self._subst(summ.get("ret"), args)
-            out = v if out == "bottom" else v_join(out, v)
-            if self.recording:
-                for (pidx, add_lo, ordinal) in summ.get("when", []):
-                    self._forward_obligation(e, cand, pidx, add_lo,
-                                             ordinal, args)
-        return None if out == "bottom" else out
-
-    def _subst(self, v, args):
-        """Map a callee-summary value into the caller: param-relative
-        values substitute the actual argument."""
-        if v is None:
-            return None
-        base = v[0]
-        if isinstance(base, tuple) and base[0] == "param":
-            i = base[1]
-            if i >= len(args) or args[i] is None:
-                return None
-            return v_add(args[i], ("abs", v[1], v[2]))
-        return v
-
-    def _ordinal(self, callee) -> int:
-        n = self._ordinals.get(callee, 0)
-        self._ordinals[callee] = n + 1
-        return n
-
-    def _observe_when(self, e, args, s):
-        callee = simple_callee(e)
-        idx = _WHEN_ARG[callee]
-        raw = e.get("args", [])
-        if len(raw) <= idx:
-            return
-        ordinal = self._ordinal(callee)
-        if callee == "postAt" and not self.check_postat(self.fn["id"]):
-            return
-        v = args[idx]
-        if v_provable(v):
-            return
-        if v is not None and isinstance(v[0], tuple) and \
-                v[0][0] == "param":
-            # Obligation transfers to the callers.
-            self.obligations.append((v[0][1], v[1], ordinal))
-            return
-        self.sites.append({
-            "fn": self.fn, "line": e.get("line") or self.fn["line"],
-            "callee": callee, "ordinal": ordinal,
-            "value": fmt_val(v), "via": []})
-
-    def _forward_obligation(self, e, cand, pidx, add_lo, ordinal, args):
-        """A callee forwards arg #pidx (+offset) into a sendAt/postAt
-        `when`: check the actual argument here."""
-        v = args[pidx] if pidx < len(args) else None
-        eff = v_add(v, ("abs", add_lo, add_lo)) if v is not None and \
-            add_lo is not None else (v if add_lo == (0, 0) else None)
-        if v_provable(eff):
-            return
-        if eff is not None and isinstance(eff[0], tuple) and \
-                eff[0][0] == "param":
-            self.obligations.append(
-                (eff[0][1], eff[1], self._ordinal("fwd")))
-            return
-        self.sites.append({
-            "fn": self.fn, "line": e.get("line") or self.fn["line"],
-            "callee": "call", "ordinal": self._ordinal("site"),
-            "value": fmt_val(eff),
-            "via": [f"{cand.get('qualname') or cand['name']}"
-                    f"(arg#{pidx})"]})
-
-    def run(self):
-        blocks, succs, entry = lower(self.fn.get("stmts") or [])
-        instates = solve(blocks, succs, entry, self)
-        record(blocks, instates, self)
-        # Deduplicate obligations (loops revisit sites).
-        obl = sorted({(p, lo, o) for (p, lo, o) in self.obligations},
-                     key=lambda t: (t[0], t[2]))
-        ret = None if self.ret_acc == "bottom" else self.ret_acc
-        summary = {"ret": ret, "when": obl}
-        return summary, self.sites
-
-
-def run_epoch_lookahead(model, check_postat) -> list[dict]:
-    """Whole-program interval analysis; returns unprovable delivery
-    sites: {"fn", "line", "callee", "ordinal", "value", "via"}."""
-    summaries: dict[str, dict] = {}
-    sites: dict[str, list[dict]] = {}
-    funcs = model.functions
-    for _ in range(8):
-        changed = False
-        for f in funcs:
-            an = IntervalAnalysis(f, model, summaries, check_postat)
-            summ, fsites = an.run()
-            sites[f["id"]] = fsites
-            if summaries.get(f["id"]) != summ:
-                summaries[f["id"]] = summ
-                changed = True
-        if not changed:
-            break
-    out: list[dict] = []
-    for f in funcs:
-        out.extend(sites.get(f["id"], []))
-    return out
 
 
 # ---------------------------------------------------------------------------

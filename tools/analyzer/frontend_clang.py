@@ -145,7 +145,6 @@ class _TuWalker:
             "qualname": _qualname(cursor) if kind != "lambda" else "",
             "kind": kind, "file": rel, "line": line, "enclosing": "",
             "calls": [], "parallel_callbacks": [],
-            "partition_callbacks": [], "asserts_partition": False,
             "asserts_sequential": False, "requires_sequential": False,
             "scenario_barrier": False, "captures_ref": False,
             "compound_float_writes": [], "narrow_conversions": [],
@@ -350,8 +349,7 @@ class _TuWalker:
 
     def _record_call(self, cursor, node: dict) -> str | None:
         """Record a call edge; returns the callee simple name when the
-        call is a ThreadPool entry point (parallelFor/submit) or an
-        epoch-partition event post (postAt/sendAt)."""
+        call is a ThreadPool entry point (parallelFor/submit)."""
         ref = cursor.referenced
         name = cursor.spelling or (ref.spelling if ref else "")
         if not name:
@@ -362,9 +360,7 @@ class _TuWalker:
         simple = (qual or name).split("::")[-1]
         if simple in ("assertHeld", "assertSequential"):
             node["asserts_sequential"] = True
-        if simple == "assertOnPartition":
-            node["asserts_partition"] = True
-        if simple in ("parallelFor", "submit", "postAt", "sendAt"):
+        if simple in ("parallelFor", "submit"):
             return simple
         return None
 
@@ -385,10 +381,7 @@ class _TuWalker:
             if c.kind == ck.LAMBDA_EXPR:
                 lam = self.lambda_nodes.get(c.hash)
                 if lam is not None:
-                    dest = "partition_callbacks" \
-                        if callee in ("postAt", "sendAt") \
-                        else "parallel_callbacks"
-                    node[dest].append(
+                    node["parallel_callbacks"].append(
                         {"callee": callee,
                          "line": call_cursor.location.line,
                          "lambda_id": lam["id"]})

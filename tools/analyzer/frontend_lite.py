@@ -42,12 +42,6 @@ _TYPE_PUNCTS = {"::", "<", ">", "&", "*"}
 _COMPOUND_OPS = {"+=", "-=", "*=", "/="}
 _STMT_BOUNDARY = {";", "{", "}", "(", ")", ",", "?", ":"}
 
-# Epoch-partition event entry points (ParallelEngine::postAt / sendAt):
-# lambdas passed to these run on pool workers inside conservative epochs
-# and are recorded as partition_callbacks, a distinct root set for the
-# seq-reach pass.
-_PARTITION_CALLEES = frozenset({"postAt", "sendAt"})
-
 _ANNOTATION_PREFIX = "CHOPIN_"
 _GUARD_MACROS = {"CHOPIN_GUARDED_BY", "CHOPIN_PT_GUARDED_BY"}
 _SYNC_TYPE_WORDS = {"Mutex", "mutex", "recursive_mutex", "shared_mutex",
@@ -112,9 +106,7 @@ class _Parser:
             "enclosing": enclosing,
             "calls": [],
             "parallel_callbacks": [],
-            "partition_callbacks": [],
             "asserts_sequential": False,
-            "asserts_partition": False,
             "requires_sequential": False,
             "scenario_barrier": False,
             "captures_ref": False,
@@ -662,11 +654,8 @@ class _Parser:
                 while parallel_frames and \
                         paren_depth < parallel_frames[-1]["paren_depth"]:
                     frame = parallel_frames.pop()
-                    dest = "partition_callbacks" \
-                        if frame["callee"] in _PARTITION_CALLEES \
-                        else "parallel_callbacks"
                     for lam in frame["lambdas"]:
-                        f[dest].append(
+                        f["parallel_callbacks"].append(
                             {"callee": frame["callee"],
                              "line": frame["line"], "lambda_id": lam})
             elif self._lambda_start(i):
@@ -735,10 +724,7 @@ class _Parser:
             simple = name.split("::")[-1]
             if simple in ("assertHeld", "assertSequential"):
                 f["asserts_sequential"] = True
-            if simple == "assertOnPartition":
-                f["asserts_partition"] = True
-            if simple in ("parallelFor", "submit") or \
-                    simple in _PARTITION_CALLEES:
+            if simple in ("parallelFor", "submit"):
                 parallel_frames.append({
                     "callee": simple, "line": self.toks[i].line,
                     "paren_depth": paren_depth + 1, "lambdas": []})

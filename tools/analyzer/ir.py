@@ -36,16 +36,8 @@ FunctionSummary:
   calls               [{"name", "receiver", "line"}]   (receiver may be "")
   parallel_callbacks  [{"callee": "parallelFor"|"submit", "line",
                         "lambda_id"}]  lambdas passed to pool entry points
-  partition_callbacks [{"callee": "postAt"|"sendAt", "line", "lambda_id"}]
-                      lambdas posted as epoch-partition events
-                      (ParallelEngine::postAt / sendAt) — they run on pool
-                      workers inside epochs, so like parallel_callbacks
-                      they must not reach sequential-only code
   asserts_sequential  body calls SequentialCap::assertHeld /
                       assertSequential — the function IS coordinator-only
-  asserts_partition   body calls PartitionCap::assertOnPartition — the
-                      function touches partition-owned state (legal from
-                      partition callbacks, NOT a sequential sink)
   requires_sequential declaration carries CHOPIN_REQUIRES over a
                       sequential capability
   scenario_barrier    body constructs a ThreadPool ScenarioRegion: the
@@ -82,7 +74,7 @@ from __future__ import annotations
 
 import dataclasses
 
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
 
 # Simple-call names never resolved to program functions when the call has
 # an explicit receiver: these collide with std container/smart-pointer
@@ -145,11 +137,10 @@ def merge(summaries: list[dict]) -> ProgramModel:
             else:
                 # Keep the richer record (a definition beats a declaration).
                 for flag in ("asserts_sequential", "requires_sequential",
-                             "scenario_barrier", "asserts_partition"):
+                             "scenario_barrier"):
                     prev[flag] = prev.get(flag) or f.get(flag)
                 if len(f.get("calls", [])) > len(prev.get("calls", [])):
                     for key in ("calls", "parallel_callbacks",
-                                "partition_callbacks",
                                 "compound_float_writes",
                                 "narrow_conversions", "stmts",
                                 "captures", "params"):

@@ -47,54 +47,45 @@ def _node_label(f: dict) -> str:
     return f.get("qualname") or f["name"]
 
 
-def seq_reach(model: ir.ProgramModel) -> list[Finding]:
-    """No sequential-only function may be reachable from a worker lambda
-    or an epoch-partition event callback.
-
-    Roots: every lambda recorded as a parallel_callback of some function
-    (passed to ThreadPool::parallelFor or ThreadPool::submit), and every
-    lambda recorded as a partition_callback (posted as an epoch event via
-    ParallelEngine::postAt / sendAt — partition events run on pool workers
-    inside conservative epochs, so touching coordinator-only state from
-    one is the same race). Traversal follows resolved calls and lexically
-    nested lambdas, and stops at any node that constructs a ScenarioRegion
-    — such a node runs a private, self-owned simulation where sequential
-    state is legal (the sweep engine's per-scenario stages).
-
-    Sinks: asserts_sequential (body calls SequentialCap::assertHeld /
-    assertSequential) or requires_sequential (CHOPIN_REQUIRES over the
-    sequential capability). asserts_partition (PartitionCap::
-    assertOnPartition) is NOT a sink — partition-owned state is exactly
-    what partition callbacks are allowed to touch.
-    """
-    findings: list[Finding] = []
-
-    # (owner function, lambda node, root kind)
-    roots: list[tuple[dict, dict, str]] = []
+def _worker_roots(model: ir.ProgramModel) -> list[tuple[dict, dict]]:
+    """(owner function, lambda) for every lambda passed to a ThreadPool
+    entry point (parallel_callbacks)."""
+    roots: list[tuple[dict, dict]] = []
     for f in model.functions:
         for cb in f.get("parallel_callbacks", []):
             lam = model.by_id.get(cb["lambda_id"])
             if lam is not None:
-                roots.append((f, lam, "worker"))
-        for cb in f.get("partition_callbacks", []):
-            lam = model.by_id.get(cb["lambda_id"])
-            if lam is not None:
-                roots.append((f, lam, "partition"))
+                roots.append((f, lam))
+    return roots
+
+
+def seq_reach(model: ir.ProgramModel) -> list[Finding]:
+    """No sequential-only function may be reachable from a worker lambda.
+
+    Roots: every lambda recorded as a parallel_callback of some function
+    (passed to ThreadPool::parallelFor or ThreadPool::submit). Traversal
+    follows resolved calls and lexically nested lambdas, and stops at any
+    node that constructs a ScenarioRegion — such a node runs a private,
+    self-owned simulation where sequential state is legal (the sweep
+    engine's per-scenario stages).
+
+    Sinks: asserts_sequential (body calls SequentialCap::assertHeld /
+    assertSequential) or requires_sequential (CHOPIN_REQUIRES over the
+    sequential capability).
+    """
+    findings: list[Finding] = []
 
     def is_sink(f: dict) -> bool:
         return bool(f.get("asserts_sequential") or
                     f.get("requires_sequential"))
 
-    for owner, lam, kind in roots:
+    for owner, lam in _worker_roots(model):
         if lam.get("scenario_barrier"):
             continue
         # BFS from the lambda, recording one witness path per sink.
         seen = {lam["id"]}
         queue: list[tuple[dict, list[str]]] = [(lam, [_node_label(lam)])]
         reported: set[str] = set()
-        root_desc = "worker lambda (passed to ThreadPool in " \
-            if kind == "worker" else \
-            "partition callback (posted via ParallelEngine in "
         while queue:
             node, path = queue.pop(0)
             for call in node.get("calls", []):
@@ -110,7 +101,7 @@ def seq_reach(model: ir.ProgramModel) -> list[Finding]:
                     seen.add(tgt["id"])
                     tpath = path + [_node_label(tgt)]
                     if is_sink(tgt):
-                        key = f"{_node_label(owner)}::<{kind}>" \
+                        key = f"{_node_label(owner)}::<worker>" \
                               f"->{_node_label(tgt)}"
                         if key in reported:
                             continue
@@ -124,7 +115,8 @@ def seq_reach(model: ir.ProgramModel) -> list[Finding]:
                             line=lam["line"],
                             key=key,
                             message=(
-                                f"{root_desc}{_node_label(owner)}) reaches "
+                                f"worker lambda (passed to ThreadPool in "
+                                f"{_node_label(owner)}) reaches "
                                 f"sequential-only {_node_label(tgt)} via "
                                 f"{' -> '.join(tpath)}"),
                         ))
@@ -251,38 +243,7 @@ def tick_narrow(model: ir.ProgramModel) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Shared reachability over the cross-TU call graph.
-
-
-def _reachable_from(model: ir.ProgramModel, roots: list[dict]) -> set[str]:
-    """Function ids reachable from @p roots via resolved calls and
-    lexically nested lambdas, stopping at ScenarioRegion barriers."""
-    seen = {r["id"] for r in roots}
-    queue = list(roots)
-    while queue:
-        node = queue.pop(0)
-        for call in node.get("calls", []):
-            if "lambda_id" in call:
-                targets = [model.by_id[call["lambda_id"]]] \
-                    if call["lambda_id"] in model.by_id else []
-            else:
-                targets = ir.resolve_call(model, call)
-            for tgt in targets:
-                if tgt["id"] in seen or tgt.get("scenario_barrier"):
-                    continue
-                seen.add(tgt["id"])
-                queue.append(tgt)
-    return seen
-
-
-def _partition_roots(model: ir.ProgramModel) -> list[dict]:
-    roots: list[dict] = []
-    for f in model.functions:
-        for cb in f.get("partition_callbacks", []):
-            lam = model.by_id.get(cb["lambda_id"])
-            if lam is not None:
-                roots.append(lam)
-    return roots
+# Enclosing-scope helpers shared by the capture and taint passes.
 
 
 def _enclosing_host(model: ir.ProgramModel, f: dict) -> dict:
@@ -303,67 +264,8 @@ def _enclosing_class(model: ir.ProgramModel, f: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# epoch-lookahead
-
-
-def epoch_lookahead(model: ir.ProgramModel) -> list[Finding]:
-    """Every sendAt/postAt delivery time reaching a partition must be
-    provably >= now() + lookahead (= the epoch end; lookahead is bounded
-    by the configured link latency, see PartitionedNet).
-
-    Flow-sensitive interval propagation (dataflow.py) evaluates the
-    `when` argument at every sendAt call site — and at every postAt site
-    inside code reachable from a partition callback; postAt from
-    coordinator code between epochs legitimately seeds absolute-tick
-    events and is exempt. Offsets that are relative to a parameter become
-    obligations on the callers (transitively), so helpers that forward a
-    delivery time are checked at the sites that compute it. An offset
-    that cannot be *proven* safe is flagged, not just a provably-wrong
-    one: an unprovable delivery time is an epoch-contract hazard even
-    when every current trace happens to satisfy it.
-
-    A CHOPIN_CHECK/ASSERT/DCHECK over the offset refines the interval,
-    so the sanctioned pattern — check `delay >= lookahead()` once, then
-    send at `now() + delay` — verifies statically.
-    """
-    in_partition = _reachable_from(model, _partition_roots(model))
-    sites = dataflow.run_epoch_lookahead(
-        model, lambda fid: fid in in_partition)
-
-    # Stable keys: host function qualname + callee + textual ordinal
-    # within the host (never line numbers).
-    sites.sort(key=lambda x: (x["fn"]["file"], x["fn"]["line"],
-                              x["ordinal"]))
-    counters: dict[tuple[str, str], int] = {}
-    findings: list[Finding] = []
-    for x in sites:
-        f = x["fn"]
-        host = _enclosing_host(model, f)
-        host_label = host.get("qualname") or host["name"]
-        ck = (host_label, x["callee"])
-        ordinal = counters.get(ck, 0)
-        counters[ck] = ordinal + 1
-        if _suppressed(model, "epoch-lookahead", f["file"], x["line"]):
-            continue
-        via = f" (reached via {', '.join(x['via'])})" if x["via"] else ""
-        findings.append(Finding(
-            rule="epoch-lookahead",
-            file=f["file"],
-            line=x["line"],
-            key=f"{host_label}:{x['callee']}#{ordinal}",
-            message=(
-                f"delivery offset of {x['callee']} in {host_label} is "
-                f"not provably >= the engine lookahead: the when "
-                f"argument evaluates to {x['value']}{via}; deliver at "
-                f"now() + d with d checked >= lookahead(), or add "
-                f"'// chopin-analyze: allow(epoch-lookahead)' with the "
-                f"invariant that bounds it"),
-        ))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# partition-escape
+# partition-escape (the id is kept for the inline suppressions and SARIF
+# history that name it; the pass checks worker lambdas only)
 
 
 def _seq_cap_classes(model: ir.ProgramModel) -> set[str]:
@@ -371,23 +273,12 @@ def _seq_cap_classes(model: ir.ProgramModel) -> set[str]:
             if c.get("has_sequential_cap")}
 
 
-def _partition_cap_classes(model: ir.ProgramModel) -> set[str]:
-    out: set[str] = set()
-    for c in model.classes:
-        for m in c.get("members", []):
-            if "PartitionCap" in m.get("type", ""):
-                out.add(c["name"])
-    return out
-
-
 def partition_escape(model: ir.ProgramModel) -> list[Finding]:
-    """Escape analysis over lambda captures: a partition or worker
-    callback must not capture (by reference or pointer) state owned by
-    the sequential coordinator — SequentialCap-guarded classes, or
-    classes holding a pointer/reference member to one (one aliasing hop).
-    Worker lambdas (ThreadPool::parallelFor/submit) are additionally
-    checked against PartitionCap-owning classes: partition-owned queues
-    and ports belong to partition callbacks, not to generic pool work.
+    """Escape analysis over worker-lambda captures: a lambda passed to
+    ThreadPool::parallelFor/submit (or nested in one) must not capture
+    (by reference or pointer) state owned by the sequential coordinator
+    — SequentialCap-guarded classes, or classes holding a
+    pointer/reference member to one (one aliasing hop).
 
     Capture types come from the shared statement builder's scope
     resolution (class members, parameters, locals); captures the builder
@@ -399,7 +290,6 @@ def partition_escape(model: ir.ProgramModel) -> list[Finding]:
     data are legal — the escape is the alias, not the data.
     """
     seq_classes = _seq_cap_classes(model)
-    part_classes = _partition_cap_classes(model)
     by_name = {}
     for c in model.classes:
         by_name.setdefault(c["name"], c)
@@ -407,11 +297,11 @@ def partition_escape(model: ir.ProgramModel) -> list[Finding]:
                                  for m in c.get("members", [])}
                      for c in model.classes}
 
-    def aliased_seq_class(type_text: str, targets: set[str]) -> str:
-        """Class from @p targets that @p type_text aliases: named
-        directly, or reachable through one pointer/reference member of a
-        named class."""
-        for cls in targets:
+    def aliased_seq_class(type_text: str) -> str:
+        """SequentialCap class that @p type_text aliases: named directly,
+        or reachable through one pointer/reference member of a named
+        class."""
+        for cls in seq_classes:
             if dataflow._word_in(type_text, cls):
                 return cls
         for cls_name, c in by_name.items():
@@ -421,44 +311,31 @@ def partition_escape(model: ir.ProgramModel) -> list[Finding]:
                 mt = m.get("type", "")
                 if "*" not in mt and "&" not in mt:
                     continue
-                for cls in targets:
+                for cls in seq_classes:
                     if dataflow._word_in(mt, cls):
                         return f"{cls} (via {cls_name}::{m['name']})"
         return ""
 
-    roots: list[tuple[dict, dict, str]] = []  # (owner, lambda, kind)
-    for f in model.functions:
-        for cb in f.get("parallel_callbacks", []):
-            lam = model.by_id.get(cb["lambda_id"])
-            if lam is not None:
-                roots.append((f, lam, "worker"))
-        for cb in f.get("partition_callbacks", []):
-            lam = model.by_id.get(cb["lambda_id"])
-            if lam is not None:
-                roots.append((f, lam, "partition"))
-    # Nested lambdas inherit their root's kind.
-    root_kind = {lam["id"]: kind for _, lam, kind in roots}
+    # Worker lambdas, plus every lambda lexically nested in one.
+    lambdas = [lam for _, lam in _worker_roots(model)]
+    worker_ids = {lam["id"] for lam in lambdas}
     changed = True
     while changed:
         changed = False
         for f in model.functions:
-            if f.get("kind") == "lambda" and f["id"] not in root_kind \
-                    and f.get("enclosing") in root_kind:
-                root_kind[f["id"]] = root_kind[f["enclosing"]]
-                owner = model.by_id.get(f["enclosing"])
-                if owner is not None:
-                    roots.append((owner, f, root_kind[f["id"]]))
+            if f.get("kind") == "lambda" and f["id"] not in worker_ids \
+                    and f.get("enclosing") in worker_ids:
+                worker_ids.add(f["id"])
+                lambdas.append(f)
                 changed = True
 
     findings: list[Finding] = []
     reported: set[str] = set()
-    for owner, lam, kind in roots:
+    for lam in lambdas:
         if lam.get("scenario_barrier"):
             continue
         host = _enclosing_host(model, lam)
         host_label = host.get("qualname") or host["name"]
-        targets = seq_classes if kind == "partition" \
-            else seq_classes | part_classes
         members = class_members.get(_enclosing_class(model, lam), {})
         for cap in lam.get("captures", []):
             typ = cap.get("type", "")
@@ -478,31 +355,27 @@ def partition_escape(model: ir.ProgramModel) -> list[Finding]:
                 "*" in typ or typ.rstrip().endswith("&")
             if not aliasing:
                 continue
-            hit = aliased_seq_class(typ, targets)
+            hit = aliased_seq_class(typ)
             if not hit:
                 continue
-            key = f"{host_label}:<{kind}>:{name}"
+            key = f"{host_label}:<worker>:{name}"
             if key in reported:
                 continue
             reported.add(key)
             if _suppressed(model, "partition-escape", lam["file"],
                            lam["line"]):
                 continue
-            owned = "coordinator-owned (SequentialCap)" \
-                if hit.split(" ")[0] in seq_classes \
-                else "partition-owned (PartitionCap)"
             findings.append(Finding(
                 rule="partition-escape",
                 file=lam["file"],
                 line=lam["line"],
                 key=key,
                 message=(
-                    f"{kind} lambda in {host_label} captures '{name}' "
-                    f"({typ.strip()}) aliasing {owned} state {hit}; "
-                    f"copy the data, route through the partition "
-                    f"mailbox, or add '// chopin-analyze: "
-                    f"allow(partition-escape)' documenting why the "
-                    f"alias cannot race"),
+                    f"worker lambda in {host_label} captures '{name}' "
+                    f"({typ.strip()}) aliasing coordinator-owned "
+                    f"(SequentialCap) state {hit}; copy the data, or add "
+                    f"'// chopin-analyze: allow(partition-escape)' "
+                    f"documenting why the alias cannot race"),
             ))
     return findings
 
@@ -613,15 +486,55 @@ def det_taint(model: ir.ProgramModel) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# unknown-allow
+
+
+def unknown_allow(model: ir.ProgramModel) -> list[Finding]:
+    """Every `// chopin-analyze: allow(<rule>)` comment must name a pass
+    that exists. A suppression naming a retired or misspelled pass
+    silences nothing, so it would stay in the tree unnoticed.
+
+    Suppression lines are the lexer's effective lines: a comment-only
+    allow line also governs the next line, so a rule repeated on the
+    line directly below the one that names it is that expansion and is
+    reported once, at the comment.
+    """
+    findings: list[Finding] = []
+    for file in sorted(model.suppressions):
+        lines = model.suppressions[file]
+        ordinals: dict[str, int] = {}
+        for line in sorted(lines):
+            for rule in lines[line]:
+                if rule in PASSES or rule in lines.get(line - 1, []):
+                    continue
+                ordinal = ordinals.get(rule, 0)
+                ordinals[rule] = ordinal + 1
+                if _suppressed(model, "unknown-allow", file, line):
+                    continue
+                suffix = f"#{ordinal}" if ordinal else ""
+                findings.append(Finding(
+                    rule="unknown-allow",
+                    file=file,
+                    line=line,
+                    key=f"allow({rule}){suffix}",
+                    message=(
+                        f"suppression names unknown pass '{rule}' "
+                        f"(passes: {', '.join(sorted(PASSES))}); remove "
+                        f"it or correct the name"),
+                ))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 
 PASSES = {
     "seq-reach": seq_reach,
     "lock-coverage": lock_coverage,
     "det-float": det_float,
     "tick-narrow": tick_narrow,
-    "epoch-lookahead": epoch_lookahead,
     "partition-escape": partition_escape,
     "det-taint": det_taint,
+    "unknown-allow": unknown_allow,
 }
 
 

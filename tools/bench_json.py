@@ -8,7 +8,6 @@ CI:
   python3 tools/bench_json.py BENCH_frame.json
   python3 tools/bench_json.py BENCH_sweep.json --min-speedup 3.0
   python3 tools/bench_json.py BENCH_sweep.json --max-rss-mb 400
-  python3 tools/bench_json.py BENCH_frame.json --series timing --min-speedup 1.5
   python3 tools/bench_json.py BENCH_frame.json --series raster --min-speedup 1.5
   python3 tools/bench_json.py new.json --compare old.json
 
@@ -18,9 +17,7 @@ ns_frame_parallel, mtris_per_s, speedup, frame_hash, cycles`. sweep_all
 additionally emits the process's `peak_rss_mb` and a `cache` block (hit
 rates, per-phase counters and the cache directory's `dir_bytes`), which
 are reported when present. perf_frame additionally emits the
-epoch-parallel engine series (`timing_speedup`, `timing_ns_serial`,
-`timing_ns_parallel`, `timing_events`, `event_queue_ns_per_event`), the
-quad-rasterizer series (`raster_speedup`, `raster_ns_per_pixel`,
+event-queue cost (`event_queue_ns_per_event`), the quad-rasterizer series (`raster_speedup`, `raster_ns_per_pixel`,
 `raster_ns_per_pixel_scalar`, `raster_pixels`, `raster_backend`,
 `raster_width`) and the frame-stream series (`stream_speedup`,
 `stream_frames`, `stream_frames_per_s`, `stream_frames_per_mcycle`,
@@ -32,14 +29,13 @@ mode here — report, gates, --compare — works on it unchanged.
 
 --min-speedup fails (exit 1) when the selected speedup series is below the
 bound. --series picks which one: `gmean` (default) is the geometric-mean
---jobs=N over --jobs=1 frame-rendering speedup, `timing` is the
-epoch-parallel timing-engine speedup, `raster` is the SIMD-over-scalar
+--jobs=N over --jobs=1 frame-rendering speedup, `raster` is the SIMD-over-scalar
 ns/pixel ratio of the quad rasterizer (the harness asserts the two paths
 emitted bit-identical fragments before computing it), `stream` is the
 frame-stream pipeline's serial-over-parallel ratio on a 16-frame hybrid
 AFR+SFR sequence (the harness asserts every registered stream metric,
-including the sequence hash, is bit-identical between the legs). gmean,
-timing and stream are only meaningful on multi-core machines; the harness
+including the sequence hash, is bit-identical between the legs). gmean
+and stream are only meaningful on multi-core machines; the harness
 itself already asserts bit-identical simulation results at every job
 count, which is the correctness gate.
 
@@ -65,7 +61,6 @@ import sys
 # --series name -> (JSON key holding the speedup, human label).
 SERIES = {
     "gmean": ("gmean_speedup", "gmean speedup"),
-    "timing": ("timing_speedup", "timing-engine speedup"),
     "raster": ("raster_speedup", "raster-kernel speedup"),
     "stream": ("stream_speedup", "stream-pipeline speedup"),
 }
@@ -101,9 +96,6 @@ def report(data: dict) -> None:
     print(f"\ngeometric-mean speedup: {data['gmean_speedup']:.2f}x")
     if "peak_rss_mb" in data:
         print(f"peak RSS: {data['peak_rss_mb']:.1f} MB")
-    if "timing_speedup" in data:
-        print(f"epoch timing engine: {data['timing_speedup']:.2f}x speedup "
-              f"({data.get('timing_events', '?')} events)")
     if "event_queue_ns_per_event" in data:
         print(f"event queue: {data['event_queue_ns_per_event']:.1f} ns/event")
     if "raster_speedup" in data:
@@ -167,8 +159,8 @@ def main() -> int:
     parser.add_argument("--series", choices=tuple(SERIES),
                         default="gmean",
                         help="which speedup series --min-speedup gates: "
-                             "frame-rendering gmean, the epoch-parallel "
-                             "timing engine, or the SIMD quad rasterizer "
+                             "frame-rendering gmean, the SIMD quad "
+                             "rasterizer, or the frame-stream pipeline "
                              "(default: gmean)")
     parser.add_argument("--max-rss-mb", type=float, default=None,
                         help="fail if the dump's peak_rss_mb exceeds this "

@@ -66,15 +66,6 @@ remediation recipe of each finding):
                 a stray _mm_* call elsewhere would not be covered by the
                 scalar-vs-SIMD bit-equality sweep.
 
-  partition-mailbox
-                No direct serial-path calls (Interconnect::transfer,
-                blockIngressUntil, Tracer::span) inside the epoch-partition
-                layer (src/sim/partition*, src/sim/parallel_engine*,
-                src/net/partitioned_net*, src/sfr/epoch_*) — partition
-                callbacks run concurrently, so cross-partition effects must
-                flow through PartitionedNet::send / the barrier commit API,
-                and spans must stage in SpanBuffers flushed at barriers.
-
   stale-allow   Every `// chopin-lint: allow(...)` must still be doing
                 work: naming a rule that exists, applies to the file, and
                 fires on that line. Suppressions outlive refactors; this
@@ -194,12 +185,6 @@ def in_bench_outside_harness(rel: str) -> bool:
     return rel.startswith("bench/") and not rel.startswith("bench/common.")
 
 
-def in_partition_layer(rel: str) -> bool:
-    """Sources whose code runs inside epoch-partition callbacks."""
-    return rel.startswith(("src/sim/partition", "src/sim/parallel_engine",
-                           "src/net/partitioned_net", "src/sfr/epoch_"))
-
-
 RNG_RE = re.compile(
     r"(?<![\w:])(?:std::)?(?:rand|srand|drand48|random_device)\s*\(|"
     r"std::random_device\b")
@@ -228,12 +213,6 @@ STATS_PRINT_RE = re.compile(
     r"<<.*\.(?:cycles|frame_hash|content_hash|traffic|breakdown|totals|"
     r"geom_busy|raster_busy|frag_busy|sched_status_bytes|groups_total|"
     r"groups_distributed|tris_distributed|retained_culled)\b")
-# Serial-path entry points that are illegal inside partition callbacks:
-# transfer()/blockIngressUntil() mutate shared interconnect state under
-# SequentialCap, span() emits directly into the coordinator-owned Tracer.
-# (commitTransfer is the sanctioned barrier-side API and does not match.)
-PARTITION_MAILBOX_RE = re.compile(
-    r"(?:->|\.)\s*(?:transfer|blockIngressUntil|span)\s*\(")
 # Vendor SIMD surface: x86 intrinsic calls (_mm_/_mm256_/_mm512_), x86
 # vector types (__m128 etc.), NEON vector types (float32x4_t etc.) and the
 # intrinsic headers themselves.
@@ -336,15 +315,6 @@ def check_bench_stats_print(code: str) -> Optional[str]:
     return None
 
 
-def check_partition_mailbox(code: str) -> Optional[str]:
-    if PARTITION_MAILBOX_RE.search(code):
-        return ("serial-path call inside the epoch-partition layer; "
-                "partition callbacks run concurrently, so cross-partition "
-                "effects must flow through PartitionedNet::send / the "
-                "barrier commit API and spans through SpanBuffer")
-    return None
-
-
 def check_trace_version(code: str) -> Optional[str]:
     if TRACE_VERSION_RE.search(code):
         return ("raw trace magic/version literal outside trace_io.cc; the "
@@ -434,17 +404,6 @@ RULES = [
          "`// chopin-lint: allow(bench-runscheme)` with a justification",
          in_bench_outside_harness,
          check_bench_runscheme),
-    Rule("partition-mailbox",
-         "epoch-partition code uses the mailbox commit API, not the "
-         "serial paths",
-         "route the transfer through PartitionedNet::send (replayed at the "
-         "epoch barrier via Interconnect::commitTransfer) and stage spans "
-         "in a SpanBuffer flushed by a barrier hook; if the call is "
-         "genuinely on the sequential coordinator path (setup, post-run "
-         "reporting), append `// chopin-lint: allow(partition-mailbox)` "
-         "with a justification",
-         in_partition_layer,
-         check_partition_mailbox),
     Rule("trace-version",
          "trace-format magic/version literals live only in "
          "src/trace/trace_io.cc",
@@ -715,24 +674,6 @@ SELFTEST_CASES = [
      False),
     ("bench-stats-print", "bench/common.cc",
      "std::cout << r.cycles << \"\\n\";", False),  # harness layer exempt
-    ("partition-mailbox", "src/net/partitioned_net.cc",
-     "Tick d = net_.transfer(src, dst, bytes, t, cls);", True),
-    ("partition-mailbox", "src/sfr/epoch_compose.cc",
-     "ctx.tracer->span(track, \"comp\", \"merge\", a, b);", True),
-    ("partition-mailbox", "src/sfr/epoch_compose.cc",
-     "net.blockIngressUntil(dst, t);", True),
-    ("partition-mailbox", "src/net/partitioned_net.cc",
-     "Tick d = net_.commitTransfer(src, dst, bytes, t, cls);",
-     False),  # the barrier-side API is the sanctioned path
-    ("partition-mailbox", "src/sfr/epoch_compose.cc",
-     "spans[g].record(tracks[g], \"comp\", \"merge\", a, b);",
-     False),  # staged spans are the point
-    ("partition-mailbox", "src/sfr/comp_scheduler.cc",
-     "Tick d = net.transfer(src, dst, bytes, t, cls);",
-     False),  # serial composers are out of scope
-    ("partition-mailbox", "src/sfr/epoch_compose.cc",
-     "net.transfer(s, d, b, t, c); // chopin-lint: allow(partition-mailbox)",
-     False),
     ("trace-version", "src/core/sweep.cc",
      "std::uint32_t magic = 0x43484f50;", True),
     ("trace-version", "src/trace/sequence.cc",
@@ -792,10 +733,10 @@ _BASELINE_FAKE_TREE = {
 
 BASELINE_SELFTEST_CASES = [
     # (entry, should fire?)
-    ({"rule": "epoch-lookahead", "file": "src/sim/engine.cc",
-      "key": "chopin::Engine::advance:sendAt#0"}, False),  # alive
-    ({"rule": "epoch-lookahead", "file": "src/sim/engine.cc",
-      "key": "chopin::Engine::renamed:sendAt#0"}, True),  # fn vanished
+    ({"rule": "tick-narrow", "file": "src/sim/engine.cc",
+      "key": "chopin::Engine::advance:narrow#0"}, False),  # alive
+    ({"rule": "tick-narrow", "file": "src/sim/engine.cc",
+      "key": "chopin::Engine::renamed:narrow#0"}, True),  # fn vanished
     ({"rule": "partition-escape", "file": "src/sim/deleted.cc",
       "key": "chopin::gone:<ref>:ctx"}, True),  # file vanished
     ({"rule": "partition-escape", "file": "src/sim/engine.cc",

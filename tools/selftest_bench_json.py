@@ -8,15 +8,15 @@ scalability bound. A gate that silently stops failing is worse than no
 gate, so this script proves both paths still reject bad inputs, using
 fixture dumps under tests/data/bench_json/:
 
-  run_fast.json     healthy run: gmean speedup 3.47x, timing 2.91x,
-                    raster kernel 2.84x, stream pipeline 2.76x
+  run_fast.json     healthy run: gmean speedup 3.47x, raster kernel
+                    2.84x, stream pipeline 2.76x
   run_slow.json     same simulation results (hashes/cycles/tris identical
                     to run_fast) but no speedup anywhere: gmean 1.02x,
-                    timing 1.01x, raster 1.04x, stream 1.02x
+                    raster 1.04x, stream 1.02x
   run_badhash.json  run_fast with one frame_hash and one cycle count
                     corrupted — what a determinism regression looks like —
-                    and without the timing/raster/stream series keys (an
-                    old dump)
+                    and without the raster/stream series keys (an old
+                    dump)
   run_sweep.json    a sweep_all dump: cache block with the directory's
                     byte count, peak RSS 412.3 MB
 
@@ -91,21 +91,8 @@ def main() -> int:
            runTool(root, fast, "--min-speedup", "2.0"),
            want_exit=0, want_in_output="OK: gmean speedup")
 
-    # The timing series (epoch-parallel engine) is gated independently of
-    # the frame gmean: run_slow has a healthy gmean fixture sibling but a
-    # 1.01x timing engine, which the timing gate must reject.
-    expect("timing series reported",
-           runTool(root, fast),
-           want_exit=0, want_in_output="epoch timing engine: 2.91x")
-    expect("timing min-speedup accepts run_fast",
-           runTool(root, fast, "--series", "timing", "--min-speedup", "1.5"),
-           want_exit=0, want_in_output="OK: timing-engine speedup")
-    expect("timing min-speedup rejects run_slow",
-           runTool(root, slow, "--series", "timing", "--min-speedup", "1.5"),
-           want_exit=1, want_in_output="FAIL: timing-engine speedup")
-
-    # The raster series (SIMD quad rasterizer vs scalar reference) is the
-    # third independent gate: run_fast carries a healthy 2.84x kernel,
+    # The raster series (SIMD quad rasterizer vs scalar reference) is
+    # gated independently of the frame gmean: run_fast carries a healthy 2.84x kernel,
     # run_slow a 1.04x one (what a vectorization regression — or a
     # forced-scalar build leaking into the gated leg — looks like).
     expect("raster series reported",
@@ -123,7 +110,7 @@ def main() -> int:
            want_exit=1, want_in_output="missing key 'raster_speedup'")
 
     # The stream series (frame-stream pipeline: 16-frame hybrid AFR+SFR
-    # sequence, frames simulated scenario-parallel) is the fourth
+    # sequence, frames simulated scenario-parallel) is the third
     # independent gate: run_fast carries a healthy 2.76x pipeline, run_slow
     # a 1.02x one (what a frame-parallelism regression looks like).
     expect("stream series reported",
@@ -140,15 +127,12 @@ def main() -> int:
                    "--min-speedup", "1.5"),
            want_exit=1, want_in_output="missing key 'stream_speedup'")
 
-    # Dumps that predate the timing series stay loadable (the keys are
-    # optional), but gating on the absent series is a hard error.
-    expect("old dump without timing keys still loads",
+    # Dumps that predate the raster and stream series stay loadable (the
+    # keys are optional); gating on an absent series is the hard error
+    # checked above.
+    expect("old dump without series keys still loads",
            runTool(root, badhash),
            want_exit=0, want_in_output="geometric-mean speedup")
-    expect("timing gate on old dump is a hard error",
-           runTool(root, badhash, "--series", "timing",
-                   "--min-speedup", "1.5"),
-           want_exit=1, want_in_output="missing key 'timing_speedup'")
 
     # The peak-RSS gate (sweep_all): reported with the cache directory's
     # size, accepted under the bound, rejected over it, and a hard error
