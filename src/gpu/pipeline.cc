@@ -12,8 +12,59 @@ GpuPipeline::GpuPipeline(const TimingParams &timing) : params(timing)
 {
 }
 
+namespace
+{
+
+/** Batch @p b's share of @p total over @p batches: even apportioning
+ *  with exact totals (the last batch takes the remainder). */
+Tick
+batchShare(Tick total, unsigned b, unsigned batches)
+{
+    return total * (b + 1) / batches - total * b / batches;
+}
+
+} // namespace
+
 Tick
 GpuPipeline::submitDraw(DrawId id, const DrawStats &stats, Tick issue_time)
+{
+    // A pending draw's back end must claim raster and fragment first.
+    checkNothingPending("submitDraw() called");
+    return claimBackEnd(claimGeometry(id, stats, issue_time), stats);
+}
+
+void
+GpuPipeline::submitGeometry(DrawId id, const DrawStats &stats,
+                            Tick issue_time)
+{
+    pending.push_back(claimGeometry(id, stats, issue_time));
+}
+
+Tick
+GpuPipeline::submitBackEnd(const DrawStats &stats)
+{
+    CHOPIN_CHECK(pendingHead < pending.size(),
+                 "submitBackEnd without a pending geometry half");
+    PendingDraw p = pending[pendingHead];
+    if (++pendingHead == pending.size()) {
+        pending.clear();
+        pendingHead = 0;
+    }
+    // The schedule-first invariant (DESIGN.md §7 rule 4): the geometry half
+    // ran before the draw was rendered, from its triangle count alone.
+    CHOPIN_CHECK(std::max<std::uint64_t>(1, stats.tris_in) == p.record.tris &&
+                     params.geometryCycles(stats) == p.record.geom_cycles,
+                 "draw ", p.record.id, ": rendered stats give ",
+                 stats.tris_in, " triangles and ",
+                 params.geometryCycles(stats),
+                 " geometry cycles, but its geometry half used ",
+                 p.record.tris, " and ", p.record.geom_cycles);
+    return claimBackEnd(p, stats);
+}
+
+GpuPipeline::PendingDraw
+GpuPipeline::claimGeometry(DrawId id, const DrawStats &stats,
+                           Tick issue_time)
 {
     // Split the draw into batches of batch_tris input triangles so that
     // geometry, raster and fragment work of one draw overlap in the
@@ -24,69 +75,71 @@ GpuPipeline::submitDraw(DrawId id, const DrawStats &stats, Tick issue_time)
         (tris + params.batch_tris - 1) / params.batch_tris);
     batches = std::max(1u, batches);
 
-    Tick g_total = params.geometryCycles(stats);
-    Tick r_total = params.rasterCycles(stats);
-    Tick f_total = params.fragmentCycles(stats);
+    PendingDraw p;
+    p.record.id = id;
+    p.record.tris = tris;
+    p.record.issue = issue_time;
+    p.record.geom_cycles = params.geometryCycles(stats);
+    p.first_batch = geomProgress.size();
+    p.batches = batches;
 
-    DrawTiming record;
-    record.id = id;
-    record.tris = tris;
-    record.issue = issue_time;
-    record.geom_cycles = g_total;
-    record.raster_cycles = r_total;
-    record.frag_cycles = f_total;
-
+    // The geometry stage never waits on raster or fragment, so its claims
+    // are the ones submitDraw() would make whenever the back end follows.
     Tick prev_geom_done = issue_time;
-    Tick draw_done = issue_time;
     std::uint64_t tris_emitted = 0;
-    // First-batch entry times of each stage window (for trace spans).
-    Tick g_start = issue_time, r_start = issue_time, f_start = issue_time;
-    Tick last_r_done = issue_time;
     for (unsigned b = 0; b < batches; ++b) {
-        // Even apportioning with exact totals (last batch takes remainder).
-        auto share = [&](Tick total) {
-            Tick lo = total * b / batches;
-            Tick hi = total * (b + 1) / batches;
-            return hi - lo;
-        };
         std::uint64_t batch_tris = tris * (b + 1) / batches - tris_emitted;
         tris_emitted += batch_tris;
-
         if (b == 0)
-            g_start = std::max(prev_geom_done, geom.freeAt());
-        Tick g_done = geom.claim(prev_geom_done, share(g_total));
-        if (b == 0)
-            r_start = std::max(g_done, raster.freeAt());
-        Tick r_done = raster.claim(g_done, share(r_total));
-        if (b == 0)
-            f_start = std::max(r_done, frag.freeAt());
-        Tick f_done = frag.claim(r_done, share(f_total));
-        prev_geom_done = g_done;
-        last_r_done = r_done;
-        draw_done = f_done;
-
+            p.geom_start = std::max(prev_geom_done, geom.freeAt());
+        prev_geom_done = geom.claim(
+            prev_geom_done, batchShare(p.record.geom_cycles, b, batches));
         geomTrisDone += batch_tris;
-        geomProgress.emplace_back(g_done, geomTrisDone);
+        geomProgress.emplace_back(prev_geom_done, geomTrisDone);
     }
     chopin_assert(tris_emitted == tris);
 
     trisSubmitted += tris;
-    record.geom_done = prev_geom_done;
-    record.done = draw_done;
+    p.record.geom_done = prev_geom_done;
+    return p;
+}
+
+Tick
+GpuPipeline::claimBackEnd(const PendingDraw &p, const DrawStats &stats)
+{
+    DrawTiming record = p.record;
+    record.raster_cycles = params.rasterCycles(stats);
+    record.frag_cycles = params.fragmentCycles(stats);
+
+    // First-batch entry times of each stage window (for trace spans).
+    Tick r_start = 0, f_start = 0, last_r_done = 0;
+    for (unsigned b = 0; b < p.batches; ++b) {
+        Tick g_done = geomProgress[p.first_batch + b].first;
+        if (b == 0)
+            r_start = std::max(g_done, raster.freeAt());
+        Tick r_done = raster.claim(
+            g_done, batchShare(record.raster_cycles, b, p.batches));
+        if (b == 0)
+            f_start = std::max(r_done, frag.freeAt());
+        record.done = frag.claim(
+            r_done, batchShare(record.frag_cycles, b, p.batches));
+        last_r_done = r_done;
+    }
+
     timings.push_back(record);
-    lastDone = std::max(lastDone, draw_done);
+    lastDone = std::max(lastDone, record.done);
 
     if (tracer != nullptr) {
         // One span per stage, spanning the draw's first-batch entry to its
         // last-batch completion in that stage (batches of one draw are
         // contiguous per stage: the stages are FIFO-serialized).
-        std::string label = "draw" + std::to_string(id);
-        tracer->span(geom_track, "gpu", label, g_start, prev_geom_done,
-                     {{"tris", tris}});
+        std::string label = "draw" + std::to_string(record.id);
+        tracer->span(geom_track, "gpu", label, p.geom_start,
+                     record.geom_done, {{"tris", record.tris}});
         tracer->span(raster_track, "gpu", label, r_start, last_r_done);
-        tracer->span(frag_track, "gpu", label, f_start, draw_done);
+        tracer->span(frag_track, "gpu", label, f_start, record.done);
     }
-    return draw_done;
+    return record.done;
 }
 
 Tick
@@ -98,6 +151,28 @@ GpuPipeline::submitGeometryWork(Tick at, Tick cycles)
     if (tracer != nullptr && done > start)
         tracer->span(geom_track, "gpu", "geom_work", start, done);
     return done;
+}
+
+void
+GpuPipeline::checkNothingPending(const char *what) const
+{
+    CHOPIN_CHECK(pendingHead == pending.size(), what, " while ",
+                 pending.size() - pendingHead,
+                 " draw(s) await submitBackEnd");
+}
+
+Tick
+GpuPipeline::finishTime() const
+{
+    checkNothingPending("finishTime() read");
+    return lastDone;
+}
+
+const std::vector<DrawTiming> &
+GpuPipeline::drawTimings() const
+{
+    checkNothingPending("drawTimings() read");
+    return timings;
 }
 
 std::uint64_t
@@ -136,6 +211,8 @@ GpuPipeline::reset()
     geomProgress.clear();
     geomTrisDone = 0;
     timings.clear();
+    pending.clear();
+    pendingHead = 0;
 }
 
 } // namespace chopin

@@ -12,6 +12,12 @@
  * checkpoints: this is the "number of processed triangles" feedback CHOPIN's
  * draw-command scheduler consumes (Fig. 10), queryable at any simulated
  * time with any staleness interval (Fig. 18).
+ *
+ * The geometry stage never waits on raster or fragment, and its cost
+ * depends only on a draw's triangle count. So a draw can be submitted in
+ * two halves: submitGeometry() when it is scheduled, and submitBackEnd()
+ * once it has been rendered. CHOPIN assigns a whole group this way before
+ * rendering any of it (DESIGN.md §7 rule 4).
  */
 
 #ifndef CHOPIN_GPU_PIPELINE_HH
@@ -66,8 +72,28 @@ class GpuPipeline
      * Submit one draw whose functional statistics are @p stats, issued at
      * @p issue_time. Batches flow through the stages immediately
      * (busy-until arithmetic); the draw's completion time is returned.
+     * Same as submitGeometry() followed by submitBackEnd(); no draw may be
+     * pending.
      */
     Tick submitDraw(DrawId id, const DrawStats &stats, Tick issue_time);
+
+    /**
+     * The geometry half of submitDraw(): claim the geometry stage for each
+     * batch and record the progress checkpoints processedTrisAt() reads.
+     * Reads only stats.tris_in and stats.verts_shaded, which a draw knows
+     * from its triangle count before any pixel is rendered. The draw then
+     * stays pending until its submitBackEnd().
+     */
+    void submitGeometry(DrawId id, const DrawStats &stats, Tick issue_time);
+
+    /**
+     * The back-end half: claim the raster and fragment stages for the
+     * oldest pending draw, whose full statistics are @p stats, then record
+     * its DrawTiming and trace spans. Checks that @p stats gives the
+     * triangles and geometry cycles its geometry half used.
+     * @return the draw's completion time.
+     */
+    Tick submitBackEnd(const DrawStats &stats);
 
     /**
      * Add non-draw work to the geometry stage (GPUpd's primitive
@@ -76,8 +102,9 @@ class GpuPipeline
      */
     Tick submitGeometryWork(Tick at, Tick cycles);
 
-    /** Completion time of everything submitted so far. */
-    Tick finishTime() const { return lastDone; }
+    /** Completion time of everything submitted so far (no draw may be
+     *  pending). */
+    Tick finishTime() const;
 
     /** Triangles whose geometry processing completed by time @p t. */
     std::uint64_t processedTrisAt(Tick t) const;
@@ -90,8 +117,9 @@ class GpuPipeline
     Tick rasterBusy() const { return raster.busyTime(); }
     Tick fragBusy() const { return frag.busyTime(); }
 
-    /** Per-draw timing records, in submission order. */
-    const std::vector<DrawTiming> &drawTimings() const { return timings; }
+    /** Per-draw timing records, in submission order (no draw may be
+     *  pending). */
+    const std::vector<DrawTiming> &drawTimings() const;
 
     /** Forget all state (new frame / new scheme). */
     void reset();
@@ -104,6 +132,27 @@ class GpuPipeline
     void attachTracer(Tracer *t, unsigned gpu_index);
 
   private:
+    /** A draw whose geometry half is submitted but not its back end. */
+    struct PendingDraw
+    {
+        DrawTiming record;           ///< all but the back-end fields
+        Tick geom_start = 0;         ///< first batch's geometry entry
+        std::size_t first_batch = 0; ///< its first geomProgress entry
+        unsigned batches = 0;        ///< batches the draw was split into
+    };
+
+    /** Claim the geometry stage for every batch of a draw and record its
+     *  progress checkpoints; the back end is still owed. */
+    PendingDraw claimGeometry(DrawId id, const DrawStats &stats,
+                              Tick issue_time);
+
+    /** Claim raster and fragment for @p p, whose full statistics are
+     *  @p stats, and record its timing and spans. */
+    Tick claimBackEnd(const PendingDraw &p, const DrawStats &stats);
+
+    /** Fail, naming @p what, unless every draw has its back end. */
+    void checkNothingPending(const char *what) const;
+
     const TimingParams &params;
     Resource geom;
     Resource raster;
@@ -115,10 +164,15 @@ class GpuPipeline
     Tracer::TrackId frag_track = 0;
     Tick lastDone = 0;
     std::uint64_t trisSubmitted = 0;
-    /** (time, cumulative triangles) geometry checkpoints, time-sorted. */
+    /** (time, cumulative triangles) geometry checkpoints, time-sorted:
+     *  one per batch, so a pending draw's batches keep their geometry
+     *  completion times here until its back end claims them. */
     std::vector<std::pair<Tick, std::uint64_t>> geomProgress;
     std::uint64_t geomTrisDone = 0;
     std::vector<DrawTiming> timings;
+    /** Pending draws in submission order; the oldest is at pendingHead. */
+    std::vector<PendingDraw> pending;
+    std::size_t pendingHead = 0;
 };
 
 } // namespace chopin

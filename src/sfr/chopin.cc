@@ -154,6 +154,79 @@ struct ChopinRun
         }
     }
 
+    /**
+     * Run a distributed group's draws into the per-GPU sub-images, every
+     * GPU at once, in three phases:
+     *
+     *  1. Assign the draws in draw order, submitting each one's geometry
+     *     half at its issue time. Opaque draws go where sched.schedule()
+     *     says; it reads only geometry progress, so it sees what it would
+     *     see if each earlier draw had been submitted whole. Transparent
+     *     draws take contiguous equal-triangle chunks, which preserve the
+     *     input order: GPU g renders draws strictly earlier than GPU g+1
+     *     (Fig. 7).
+     *  2. Render each GPU's draws, in draw order, into its sub-image on a
+     *     pool worker. Rendering is purely functional: it touches neither
+     *     the scheduler nor the pipes.
+     *  3. In draw order, add each draw's stats to the totals and submit
+     *     its back end, which claims the same stage times and emits the
+     *     same spans as submitDraw().
+     */
+    void
+    runDistributedDraws(const CompositionGroup &group)
+    {
+        unsigned n = ctx.cfg.num_gpus;
+        std::uint32_t count = group.drawCount();
+        std::vector<GpuId> assignment(count, 0);
+        std::uint64_t chunk_share =
+            std::max<std::uint64_t>(1, group.triangles / n);
+        std::uint64_t acc = 0;
+        GpuId chunk = 0;
+        for (std::uint32_t k = 0; k < count; ++k) {
+            const DrawCommand &cmd = ctx.trace.draws[group.first_draw + k];
+            std::uint64_t tris = cmd.triangleCount();
+            GpuId g = group.transparent() ? chunk : sched.schedule(tris, t);
+            if (group.transparent()) {
+                sched.accountExternal(g, tris);
+                acc += tris;
+                if (acc >= chunk_share * (chunk + 1) && chunk + 1 < n)
+                    ++chunk;
+            }
+            assignment[k] = g;
+            // Before any pixel work a draw's stats hold what geometry
+            // processing counts per input primitive; submitBackEnd checks
+            // that the rendered stats agree.
+            DrawStats geometry;
+            geometry.tris_in = tris;
+            geometry.verts_shaded = 3 * tris;
+            ctx.pipes[g].submitGeometry(cmd.id, geometry, t);
+            t += ctx.cfg.timing.driver_issue_cycles;
+        }
+
+        std::vector<DrawStats> draw_stats(count);
+        // Worker g writes only subs[g], sub_touched[g] and the stats slots
+        // of its own draws. ctx is aliased only for the immutable
+        // trace/viewport inputs; render workers never reach ctx.tracer.
+        // chopin-analyze: allow(partition-escape)
+        globalPool().parallelFor(n, [&](std::size_t g) {
+            for (std::uint32_t k = 0; k < count; ++k) {
+                if (assignment[k] != g)
+                    continue;
+                const DrawCommand &cmd =
+                    ctx.trace.draws[group.first_draw + k];
+                draw_stats[k] =
+                    renderDraw(subs[g], ctx.vp, makeInput(cmd),
+                               RenderFilter{}, &sub_touched[g], &ctx.grid);
+            }
+        });
+
+        for (std::uint32_t k = 0; k < count; ++k) {
+            ctx.totals += draw_stats[k];
+            ctx.pipes[assignment[k]].submitBackEnd(
+                ctx.applyCullRetention(draw_stats[k]));
+        }
+    }
+
     /** Build the composition job skeleton from per-GPU readiness. */
     CompositionJob
     makeJob(Tick group_start) const
@@ -252,17 +325,7 @@ struct ChopinRun
         resetSubs(Color(), clear_z);
 
         Tick group_start = t;
-        for (std::uint32_t i = group.first_draw; i <= group.last_draw; ++i) {
-            const DrawCommand &cmd = ctx.trace.draws[i];
-            GpuId g = sched.schedule(cmd.triangleCount(), t);
-            DrawStats stats =
-                renderDraw(subs[g], ctx.vp, makeInput(cmd), RenderFilter{},
-                           &sub_touched[g], &ctx.grid);
-            ctx.totals += stats;
-            ctx.pipes[g].submitDraw(cmd.id, ctx.applyCullRetention(stats),
-                                    t);
-            t += ctx.cfg.timing.driver_issue_cycles;
-        }
+        runDistributedDraws(group);
 
         CompositionJob job = makeJob(group_start);
         fillJobPixels(job);
@@ -332,55 +395,8 @@ struct ChopinRun
         BlendOp op = group.blend_op;
         resetSubs(transparentIdentity(op), 1.0f);
 
-        // Contiguous equal-triangle chunks preserve the input order:
-        // GPU g renders draws strictly earlier than GPU g+1 (Fig. 7).
-        std::uint32_t count = group.drawCount();
-        std::vector<GpuId> assignment(count, 0);
-        std::uint64_t target_share =
-            std::max<std::uint64_t>(1, group.triangles / n);
-        std::uint64_t acc = 0;
-        GpuId cur = 0;
-        for (std::uint32_t k = 0; k < count; ++k) {
-            assignment[k] = cur;
-            acc += ctx.trace.draws[group.first_draw + k].triangleCount();
-            if (acc >= target_share * (cur + 1) && cur + 1 < n)
-                ++cur;
-        }
-
-        // Per-GPU fan-out. The assignment is precomputed (unlike opaque
-        // groups, it never reads pipeline state), so GPU g's draws render
-        // into its private sub-image on a pool worker, in draw order,
-        // filling per-draw stats slots. Rendering is purely functional —
-        // it touches neither the scheduler nor the pipes — so the serial
-        // accounting pass below reproduces the serial interleaving of
-        // accountExternal / totals / submitDraw bit-exactly.
-        std::vector<std::vector<std::uint32_t>> gpu_draws(n);
-        for (std::uint32_t k = 0; k < count; ++k)
-            gpu_draws[assignment[k]].push_back(k);
-        std::vector<DrawStats> draw_stats(count);
-        // ctx is aliased only for the immutable trace/viewport inputs;
-        // render workers never reach ctx.tracer.
-        // chopin-analyze: allow(partition-escape)
-        globalPool().parallelFor(n, [&](std::size_t g) {
-            for (std::uint32_t k : gpu_draws[g]) {
-                const DrawCommand &cmd =
-                    ctx.trace.draws[group.first_draw + k];
-                draw_stats[k] =
-                    renderDraw(subs[g], ctx.vp, makeInput(cmd),
-                               RenderFilter{}, &sub_touched[g], &ctx.grid);
-            }
-        });
-
         Tick group_start = t;
-        for (std::uint32_t k = 0; k < count; ++k) {
-            const DrawCommand &cmd = ctx.trace.draws[group.first_draw + k];
-            GpuId g = assignment[k];
-            sched.accountExternal(g, cmd.triangleCount());
-            ctx.totals += draw_stats[k];
-            ctx.pipes[g].submitDraw(
-                cmd.id, ctx.applyCullRetention(draw_stats[k]), t);
-            t += ctx.cfg.timing.driver_issue_cycles;
-        }
+        runDistributedDraws(group);
 
         CompositionJob job = makeJob(group_start);
         fillJobPixels(job);
@@ -409,8 +425,9 @@ struct ChopinRun
         // independently with bit-identical float sequences.
         Surface &target = ctx.rts[group.render_target];
         std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
+        const TileGrid &grid = ctx.grid;
         globalPool().parallelFor(
-            static_cast<std::size_t>(ctx.grid.tileCount()),
+            static_cast<std::size_t>(grid.tileCount()),
             [&](std::size_t tile_index) {
                 int tile = static_cast<int>(tile_index);
                 bool touched = false;
@@ -419,7 +436,7 @@ struct ChopinRun
                 if (!touched)
                     return;
                 dirty[tile] = 1;
-                PixelRect r = ctx.grid.tileRect(tile);
+                PixelRect r = grid.tileRect(tile);
                 for (int y = r.y0; y <= r.y1; ++y) {
                     for (int x = r.x0; x <= r.x1; ++x) {
                         bool any = false;

@@ -54,11 +54,4 @@ DrawCommandScheduler::schedule(std::uint64_t tris, Tick now)
     return pick;
 }
 
-void
-DrawCommandScheduler::reset()
-{
-    // Counters persist across composition groups, as in the hardware table
-    // of Fig. 10; nothing to do. Kept for interface clarity.
-}
-
 } // namespace chopin

@@ -69,10 +69,6 @@ class DrawCommandScheduler
         status_bytes += 4;
     }
 
-    /** Start a new composition group (scheduling state persists; counters
-     *  continue across groups as in hardware). */
-    void reset();
-
   private:
     const std::vector<GpuPipeline> &pipes;
     DrawPolicy policy;

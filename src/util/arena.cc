@@ -1,13 +1,37 @@
 #include "util/arena.hh"
 
+#include <cstring>
+#include <memory>
+
 namespace chopin
 {
+
+namespace
+{
+
+/**
+ * Block storage of @p size bytes, uninitialized: arena memory is always
+ * written before it is read, so zero-filling a block would only page in
+ * memory no draw may ever touch. Debug builds fill it with
+ * Arena::kPoisonByte instead, so a read before a write changes results.
+ */
+std::unique_ptr<std::byte[]>
+newBlock(std::size_t size)
+{
+    auto data = std::make_unique_for_overwrite<std::byte[]>(size);
+#if CHOPIN_CHECK_LEVEL >= 2
+    std::memset(data.get(), Arena::kPoisonByte, size);
+#endif
+    return data;
+}
+
+} // namespace
 
 Arena::Arena(std::size_t first_block_bytes)
 {
     Block b;
     b.size = first_block_bytes < 64 ? 64 : first_block_bytes;
-    b.data = std::make_unique<std::byte[]>(b.size);
+    b.data = newBlock(b.size);
     blocks_.push_back(std::move(b));
 }
 
@@ -45,7 +69,7 @@ Arena::grow(std::size_t min_bytes)
         want = min_bytes;
     Block b;
     b.size = want;
-    b.data = std::make_unique<std::byte[]>(b.size);
+    b.data = newBlock(b.size);
     blocks_.push_back(std::move(b));
     cur_ = blocks_.size() - 1;
 }
@@ -60,7 +84,7 @@ Arena::reset()
         blocks_.clear();
         Block b;
         b.size = total;
-        b.data = std::make_unique<std::byte[]>(b.size);
+        b.data = newBlock(b.size);
         blocks_.push_back(std::move(b));
     }
     cur_ = 0;

@@ -51,6 +51,11 @@ class Arena
   public:
     static constexpr std::size_t kDefaultBlockBytes = std::size_t(64) << 10;
 
+    /** At check level 2 every fresh or coalesced block is filled with
+     *  this byte, so a read of arena storage before it is written changes
+     *  results under the Debug and sanitizer test runs. */
+    static constexpr unsigned char kPoisonByte = 0xA5;
+
     explicit Arena(std::size_t first_block_bytes = kDefaultBlockBytes);
 
     Arena(const Arena &) = delete;

@@ -8,7 +8,8 @@
  *
  * The trace is ut3 (effect-heavy, ~10% transparent draws) so the run
  * exercises every parallel region: binned rasterization, the partitioned
- * renderer, CHOPIN's opaque merges, and the transparent per-GPU fan-out.
+ * renderer, CHOPIN's per-GPU render fan-out over opaque and transparent
+ * groups, and its composition merges.
  */
 
 #include <gtest/gtest.h>
@@ -57,9 +58,6 @@ TEST_P(ParallelDeterminismTest, JobsDoNotChangeResults)
     Scheme scheme = GetParam();
     ScopedJobs restore(1);
 
-    SystemConfig cfg;
-    cfg.num_gpus = 8;
-
     // Three distinct seeds of the same profile: different geometry,
     // different group structure, same invariant.
     BenchmarkProfile profile = scaleProfile(benchmarkProfile("ut3"), 32);
@@ -68,16 +66,23 @@ TEST_P(ParallelDeterminismTest, JobsDoNotChangeResults)
         p.seed += static_cast<std::uint64_t>(variant) * 0x9e3779b97f4a7c15ull;
         FrameTrace trace = generateTrace(p);
 
-        setGlobalJobs(1);
-        FrameResult serial = runScheme(scheme, cfg, trace);
+        // Fewer and more simulated GPUs than host workers: per-GPU
+        // fan-outs see both idle workers and workers with several GPUs.
+        for (unsigned gpus : {2u, 8u, 16u}) {
+            SystemConfig cfg;
+            cfg.num_gpus = gpus;
+            setGlobalJobs(1);
+            FrameResult serial = runScheme(scheme, cfg, trace);
 
-        for (unsigned jobs : {2u, 8u}) {
-            setGlobalJobs(jobs);
-            FrameResult parallel = runScheme(scheme, cfg, trace);
-            expectIdentical(serial, parallel,
-                            toString(scheme) + " seed-variant " +
-                                std::to_string(variant) + " jobs=" +
-                                std::to_string(jobs));
+            for (unsigned jobs : {2u, 8u}) {
+                setGlobalJobs(jobs);
+                FrameResult parallel = runScheme(scheme, cfg, trace);
+                expectIdentical(serial, parallel,
+                                toString(scheme) + " seed-variant " +
+                                    std::to_string(variant) + " gpus=" +
+                                    std::to_string(gpus) + " jobs=" +
+                                    std::to_string(jobs));
+            }
         }
     }
 }
@@ -85,7 +90,9 @@ TEST_P(ParallelDeterminismTest, JobsDoNotChangeResults)
 INSTANTIATE_TEST_SUITE_P(
     Schemes, ParallelDeterminismTest,
     ::testing::Values(Scheme::SingleGpu, Scheme::Duplication, Scheme::Gpupd,
-                      Scheme::Chopin, Scheme::ChopinCompSched),
+                      Scheme::GpupdIdeal, Scheme::ChopinRoundRobin,
+                      Scheme::Chopin, Scheme::ChopinCompSched,
+                      Scheme::ChopinIdeal),
     [](const auto &info) {
         std::string name = toString(info.param);
         for (char &c : name)
@@ -101,14 +108,15 @@ TEST(ParallelDeterminism, TraceBytesIdenticalAcrossJobs)
     // must be byte-identical at any host --jobs value. Gpupd covers the
     // projection/distribution spans, Chopin the direct-send composer's,
     // ChopinCompSched per-draw pipeline spans, interconnect transfers,
-    // sync and scheduled composition.
+    // sync and scheduled composition, ChopinRoundRobin the pipeline spans
+    // of draws assigned without progress feedback.
     ScopedJobs restore(1);
     SystemConfig cfg;
     cfg.num_gpus = 4;
     FrameTrace trace = generateBenchmark("ut3", 64);
 
-    for (Scheme scheme :
-         {Scheme::Gpupd, Scheme::Chopin, Scheme::ChopinCompSched}) {
+    for (Scheme scheme : {Scheme::Gpupd, Scheme::ChopinRoundRobin,
+                          Scheme::Chopin, Scheme::ChopinCompSched}) {
         std::string baseline;
         for (unsigned jobs : {1u, 2u, 8u}) {
             setGlobalJobs(jobs);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <vector>
 
 #include "gpu/pipeline.hh"
+#include "stats/tracer.hh"
+#include "util/rng.hh"
 
 namespace chopin
 {
@@ -167,6 +171,128 @@ TEST(Pipeline, ResetClearsState)
     EXPECT_EQ(pipe.submittedTris(), 0u);
     EXPECT_EQ(pipe.geomBusy(), 0u);
     EXPECT_TRUE(pipe.drawTimings().empty());
+}
+
+/** One draw of a randomized sequence: its pipe, stats and issue time. */
+struct RandomDraw
+{
+    unsigned pipe;
+    DrawStats stats;
+    Tick issue;
+};
+
+/** Draws of varying size and back-end cost, issued at rising times with
+ *  random gaps, spread over @p pipes pipes. */
+std::vector<RandomDraw>
+randomDraws(std::uint64_t seed, unsigned pipes, int count)
+{
+    Rng rng(seed);
+    std::vector<RandomDraw> draws;
+    Tick t = 0;
+    for (int i = 0; i < count; ++i) {
+        RandomDraw d;
+        d.pipe = rng.nextBounded(pipes);
+        std::uint32_t tris = 1 + rng.nextBounded(2000);
+        std::uint32_t frags = rng.nextBounded(50000);
+        d.stats = statsOf(tris, frags);
+        d.stats.tris_coarse_rejected = rng.nextBounded(tris);
+        d.stats.frags_textured = rng.nextBounded(frags + 1);
+        d.issue = t;
+        t += rng.nextBounded(4) == 0 ? rng.nextBounded(20000) : 20;
+        draws.push_back(d);
+    }
+    return draws;
+}
+
+TEST(Pipeline, SplitSubmissionMatchesWholeDraws)
+{
+    // The schedule-first invariant the CHOPIN renderer relies on: k
+    // geometry halves followed by their k back ends claim the same stage
+    // times, record the same timings and geometry progress, and emit the
+    // same spans as k whole submitDraw() calls.
+    TimingParams p;
+    p.batch_tris = 256; // several batches per draw
+    const unsigned n = 3;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        std::vector<RandomDraw> draws = randomDraws(seed, n, 60);
+        std::vector<GpuPipeline> whole, split;
+        Tracer whole_trace, split_trace;
+        for (unsigned g = 0; g < n; ++g) {
+            whole.emplace_back(p);
+            split.emplace_back(p);
+        }
+        for (unsigned g = 0; g < n; ++g) {
+            whole[g].attachTracer(&whole_trace, g);
+            split[g].attachTracer(&split_trace, g);
+        }
+
+        Rng rng(seed * 977);
+        for (std::size_t i = 0; i < draws.size();) {
+            std::size_t k = std::min<std::size_t>(1 + rng.nextBounded(12),
+                                                  draws.size() - i);
+            for (std::size_t j = i; j < i + k; ++j)
+                whole[draws[j].pipe].submitDraw(static_cast<DrawId>(j),
+                                                draws[j].stats,
+                                                draws[j].issue);
+            for (std::size_t j = i; j < i + k; ++j)
+                split[draws[j].pipe].submitGeometry(static_cast<DrawId>(j),
+                                                    draws[j].stats,
+                                                    draws[j].issue);
+            for (std::size_t j = i; j < i + k; ++j)
+                split[draws[j].pipe].submitBackEnd(draws[j].stats);
+            i += k;
+        }
+
+        for (unsigned g = 0; g < n; ++g) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " pipe " +
+                         std::to_string(g));
+            const auto &a = whole[g].drawTimings();
+            const auto &b = split[g].drawTimings();
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i)
+                EXPECT_TRUE(metricsEqual(a[i], b[i]))
+                    << ::testing::PrintToString(metricsDiff(a[i], b[i]));
+            EXPECT_EQ(whole[g].finishTime(), split[g].finishTime());
+            EXPECT_EQ(whole[g].submittedTris(), split[g].submittedTris());
+            EXPECT_EQ(whole[g].geomBusy(), split[g].geomBusy());
+            EXPECT_EQ(whole[g].rasterBusy(), split[g].rasterBusy());
+            EXPECT_EQ(whole[g].fragBusy(), split[g].fragBusy());
+            // Every tick up to the last geometry completion covers every
+            // geometry checkpoint and the interval on each side of it.
+            Tick last_geom = a.empty() ? 0 : a.back().geom_done;
+            for (Tick t = 0; t <= last_geom + 1; ++t)
+                ASSERT_EQ(whole[g].processedTrisAt(t),
+                          split[g].processedTrisAt(t))
+                    << "t=" << t;
+        }
+        std::ostringstream wj, sj;
+        whole_trace.exportChromeJson(wj);
+        split_trace.exportChromeJson(sj);
+        EXPECT_TRUE(wj.str() == sj.str()) << "seed " << seed;
+    }
+}
+
+TEST(PipelineDeath, BackEndStatsMustMatchTheGeometryHalf)
+{
+    TimingParams p;
+    GpuPipeline pipe(p);
+    pipe.submitGeometry(3, statsOf(100), 0);
+    EXPECT_DEATH(pipe.submitBackEnd(statsOf(101, 500)),
+                 "draw 3: rendered stats give 101 triangles");
+}
+
+TEST(PipelineDeath, ReadsAndWholeDrawsWhileADrawIsPendingPanic)
+{
+    TimingParams p;
+    GpuPipeline pipe(p);
+    pipe.submitDraw(0, statsOf(100), 0);
+    pipe.submitGeometry(1, statsOf(100), 0);
+    EXPECT_DEATH(pipe.finishTime(), "finishTime\\(\\) read while 1 draw");
+    EXPECT_DEATH(pipe.drawTimings(), "drawTimings\\(\\) read while 1 draw");
+    EXPECT_DEATH(pipe.submitDraw(2, statsOf(10), 0),
+                 "submitDraw\\(\\) called while 1 draw");
+    pipe.submitBackEnd(statsOf(100));
+    EXPECT_EQ(pipe.drawTimings().size(), 2u);
 }
 
 } // namespace

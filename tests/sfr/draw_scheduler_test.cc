@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sfr/draw_scheduler.hh"
@@ -157,6 +158,46 @@ TEST_F(SchedulerTest, ExternalAccountingAffectsEstimates)
     sched.accountExternal(0, 5000);
     EXPECT_EQ(sched.remainingEstimate(0, 0), 5000u);
     EXPECT_EQ(sched.schedule(10, 0), 1u);
+}
+
+TEST_F(SchedulerTest, GeometryHalvesAloneGiveTheSamePicks)
+{
+    // The schedule-first invariant (DESIGN.md §7 rule 4): fewest-remaining
+    // reads only geometry progress, so picks made while every earlier draw
+    // has only its geometry half submitted equal picks made over whole
+    // draws, whatever their raster and fragment cost.
+    for (std::uint64_t update : {1u, 64u, 512u}) {
+        Rng rng(update);
+        makePipes(4);
+        std::vector<GpuPipeline> geometry_only;
+        for (unsigned g = 0; g < 4; ++g)
+            geometry_only.emplace_back(params);
+        DrawCommandScheduler whole(pipes, DrawPolicy::FewestRemaining,
+                                   update);
+        DrawCommandScheduler split(geometry_only, DrawPolicy::FewestRemaining,
+                                   update);
+        std::vector<std::pair<GpuId, DrawStats>> backlog;
+        Tick t = 0;
+        for (DrawId id = 0; id < 300; ++id) {
+            DrawStats s = statsOf(
+                1 + static_cast<std::uint64_t>(rng.nextLogNormal(4.0, 1.3)));
+            s.frags_generated = rng.nextBounded(40000);
+            s.frags_shaded = s.frags_generated;
+            s.frags_written = s.frags_generated;
+            GpuId g = whole.schedule(s.tris_in, t);
+            ASSERT_EQ(split.schedule(s.tris_in, t), g)
+                << "update " << update << " draw " << id;
+            pipes[g].submitDraw(id, s, t);
+            geometry_only[g].submitGeometry(id, s, t);
+            backlog.emplace_back(g, s);
+            t += 20 + (rng.nextBounded(8) == 0 ? rng.nextBounded(5000) : 0);
+        }
+        EXPECT_EQ(whole.statusTraffic(), split.statusTraffic());
+        for (const auto &[g, s] : backlog)
+            geometry_only[g].submitBackEnd(s);
+        for (unsigned g = 0; g < 4; ++g)
+            EXPECT_EQ(pipes[g].finishTime(), geometry_only[g].finishTime());
+    }
 }
 
 } // namespace

@@ -72,6 +72,29 @@ TEST(Arena, TracksBytesAllocated)
     EXPECT_EQ(arena.bytesAllocated(), 128u);
 }
 
+#if CHOPIN_CHECK_LEVEL >= 2
+TEST(Arena, FreshAndCoalescedBlocksCarryThePoison)
+{
+    // Blocks are allocated uninitialized; Debug builds poison them so a
+    // read of arena storage before it is written changes results.
+    auto expectPoisoned = [](const void *p, std::size_t bytes) {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < bytes; ++i)
+            ASSERT_EQ(b[i], Arena::kPoisonByte) << "byte " << i;
+    };
+    Arena arena(256);
+    void *first = arena.allocate(256, 8);
+    expectPoisoned(first, 256);
+    std::memset(first, 0, 256);
+    void *grown = arena.allocate(1000, 8); // a fresh chained block
+    expectPoisoned(grown, 1000);
+    std::memset(grown, 0, 1000);
+    arena.reset(); // coalesces the chain into one fresh block
+    ASSERT_EQ(arena.blockCount(), 1u);
+    expectPoisoned(arena.allocate(arena.capacity(), 8), arena.capacity());
+}
+#endif
+
 TEST(ArenaVector, PushBackGrowthPreservesValues)
 {
     Arena arena(128); // small: growth relocates across blocks

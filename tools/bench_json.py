@@ -9,6 +9,7 @@ CI:
   python3 tools/bench_json.py BENCH_sweep.json --min-speedup 3.0
   python3 tools/bench_json.py BENCH_sweep.json --max-rss-mb 400
   python3 tools/bench_json.py BENCH_frame.json --series raster --min-speedup 1.5
+  python3 tools/bench_json.py BENCH_frame.json --series chopin --min-speedup 1.34
   python3 tools/bench_json.py new.json --compare old.json
 
 Both producers share the contract: top-level `results` / `gmean_speedup` /
@@ -34,10 +35,13 @@ ns/pixel ratio of the quad rasterizer (the harness asserts the two paths
 emitted bit-identical fragments before computing it), `stream` is the
 frame-stream pipeline's serial-over-parallel ratio on a 16-frame hybrid
 AFR+SFR sequence (the harness asserts every registered stream metric,
-including the sequence hash, is bit-identical between the legs). gmean
-and stream are only meaningful on multi-core machines; the harness
-itself already asserts bit-identical simulation results at every job
-count, which is the correctness gate.
+including the sequence hash, is bit-identical between the legs), and
+`chopin` is the geometric mean of `speedup` over the CHOPIN and
+CHOPIN+CompSched rows, i.e. what CHOPIN's per-GPU render fan-out buys.
+chopin is computed from `results`, so any perf_frame dump carries it.
+gmean, stream and chopin are only meaningful on multi-core machines; the
+harness itself already asserts bit-identical simulation results at every
+job count, which is the correctness gate.
 
 --max-rss-mb fails (exit 1) when the dump's `peak_rss_mb` exceeds the
 bound, and is a hard error on a dump without that key. On sweep_all it
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -64,6 +69,20 @@ SERIES = {
     "raster": ("raster_speedup", "raster-kernel speedup"),
     "stream": ("stream_speedup", "stream-pipeline speedup"),
 }
+
+# --series chopin averages the `speedup` of these schemes' rows.
+CHOPIN_SCHEMES = ("CHOPIN", "CHOPIN+CompSched")
+CHOPIN_LABEL = "CHOPIN-rows speedup"
+
+
+def chopin_gmean(data: dict) -> tuple[float, int] | None:
+    """Geometric-mean `speedup` over the CHOPIN_SCHEMES rows, with the row
+    count; None when the dump has no such row."""
+    logs = [math.log(r["speedup"]) for r in data["results"]
+            if r["scheme"] in CHOPIN_SCHEMES]
+    if not logs:
+        return None
+    return math.exp(sum(logs) / len(logs)), len(logs)
 
 
 def load(path: str) -> dict:
@@ -94,6 +113,9 @@ def report(data: dict) -> None:
               f"{r['mtris_per_s']:>9.2f} "
               f"{r['speedup']:>7.2f}x")
     print(f"\ngeometric-mean speedup: {data['gmean_speedup']:.2f}x")
+    chopin = chopin_gmean(data)
+    if chopin is not None:
+        print(f"{CHOPIN_LABEL}: {chopin[0]:.2f}x gmean over {chopin[1]} rows")
     if "peak_rss_mb" in data:
         print(f"peak RSS: {data['peak_rss_mb']:.1f} MB")
     if "event_queue_ns_per_event" in data:
@@ -156,12 +178,12 @@ def main() -> int:
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail if the selected speedup series is below "
                              "this bound")
-    parser.add_argument("--series", choices=tuple(SERIES),
+    parser.add_argument("--series", choices=(*SERIES, "chopin"),
                         default="gmean",
                         help="which speedup series --min-speedup gates: "
                              "frame-rendering gmean, the SIMD quad "
-                             "rasterizer, or the frame-stream pipeline "
-                             "(default: gmean)")
+                             "rasterizer, the frame-stream pipeline, or "
+                             "the CHOPIN rows' gmean (default: gmean)")
     parser.add_argument("--max-rss-mb", type=float, default=None,
                         help="fail if the dump's peak_rss_mb exceeds this "
                              "bound")
@@ -177,11 +199,21 @@ def main() -> int:
         if compare(data, load(args.compare)) != 0:
             status = 1
     if args.min_speedup is not None:
-        key, label = SERIES[args.series]
-        if key not in data:
-            sys.exit(f"{args.json_path}: missing key '{key}' "
-                     f"(--series {args.series} needs a dump that emits it)")
-        g = data[key]
+        if args.series == "chopin":
+            label = CHOPIN_LABEL
+            chopin = chopin_gmean(data)
+            if chopin is None:
+                sys.exit(f"{args.json_path}: no "
+                         f"{' or '.join(CHOPIN_SCHEMES)} rows "
+                         "(--series chopin needs them)")
+            g = chopin[0]
+        else:
+            key, label = SERIES[args.series]
+            if key not in data:
+                sys.exit(f"{args.json_path}: missing key '{key}' "
+                         f"(--series {args.series} needs a dump that "
+                         "emits it)")
+            g = data[key]
         if g < args.min_speedup:
             print(f"FAIL: {label} {g:.2f}x < required "
                   f"{args.min_speedup:.2f}x", file=sys.stderr)

@@ -19,6 +19,9 @@ fixture dumps under tests/data/bench_json/:
                     dump)
   run_sweep.json    a sweep_all dump: cache block with the directory's
                     byte count, peak RSS 412.3 MB
+  run_chopin.json   a perf_frame dump with named scheme rows and no
+                    series keys: all-rows gmean 1.27x, CHOPIN and
+                    CHOPIN+CompSched rows 1.66x
 
 Registered as the `bench_json_selftest` ctest. Usage:
 
@@ -133,6 +136,26 @@ def main() -> int:
     expect("old dump without series keys still loads",
            runTool(root, badhash),
            want_exit=0, want_in_output="geometric-mean speedup")
+
+    # The chopin series (CHOPIN's per-GPU render fan-out) is computed from
+    # the per-row speedups, so a dump without any series key still
+    # carries it; a dump without CHOPIN rows cannot be gated on it.
+    chopin = str(data / "run_chopin.json")
+    expect("chopin series reported", runTool(root, chopin),
+           want_exit=0,
+           want_in_output="CHOPIN-rows speedup: 1.66x gmean over 4 rows")
+    expect("chopin min-speedup accepts run_chopin",
+           runTool(root, chopin, "--series", "chopin",
+                   "--min-speedup", "1.34"),
+           want_exit=0, want_in_output="OK: CHOPIN-rows speedup 1.66x")
+    expect("chopin min-speedup rejects a higher bound",
+           runTool(root, chopin, "--series", "chopin",
+                   "--min-speedup", "1.7"),
+           want_exit=1, want_in_output="FAIL: CHOPIN-rows speedup 1.66x")
+    expect("chopin gate on a dump without CHOPIN rows is a hard error",
+           runTool(root, fast, "--series", "chopin",
+                   "--min-speedup", "1.34"),
+           want_exit=1, want_in_output="no CHOPIN or CHOPIN+CompSched rows")
 
     # The peak-RSS gate (sweep_all): reported with the cache directory's
     # size, accepted under the bound, rejected over it, and a hard error
