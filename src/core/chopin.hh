@@ -19,7 +19,7 @@
  * Layers (each usable standalone):
  *  - trace/: synthetic frame generation (Table III profiles) + trace IO
  *  - gfx/:   the functional rendering pipeline
- *  - comp/:  image-composition operators and reference algorithms
+ *  - comp/:  image-composition operators
  *  - gpu/:   the per-GPU timing model
  *  - net/:   the inter-GPU interconnect model
  *  - sfr/:   the SFR schemes (duplication, GPUpd, CHOPIN) and schedulers
@@ -28,7 +28,6 @@
 #ifndef CHOPIN_CORE_CHOPIN_HH
 #define CHOPIN_CORE_CHOPIN_HH
 
-#include "comp/algorithms.hh"
 #include "comp/operators.hh"
 #include "gfx/renderer.hh"
 #include "sfr/afr.hh"

@@ -192,12 +192,6 @@ processPrimitive(const Triangle &tri, const Mat4 &mvp, const Viewport &vp,
                          stats);
 }
 
-double
-screenArea(const ScreenTriangle &tri)
-{
-    return std::abs(signedArea2(tri)) * 0.5;
-}
-
 float
 signedScreenArea2(const ScreenTriangle &tri)
 {

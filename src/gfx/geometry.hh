@@ -130,23 +130,16 @@ void processPrimitive(const Triangle &tri, const Mat4 &mvp,
                       std::vector<ScreenTriangle> &out, DrawStats &stats);
 
 /**
- * Slab overload: appends at @p out[count], advancing @p count. The caller
+ * Slab overload: writes at @p out[count], advancing @p count. The caller
  * guarantees room for two more triangles (one primitive emits at most two
- * after near-plane clipping). This is the allocation-free form the
- * renderer's geometry stage uses — pool workers write into fixed disjoint
- * slices of a coordinator-owned arena slab, so no allocator is touched
- * inside the parallel region.
+ * after near-plane clipping). Same results as the vector overload, which
+ * the renderer uses; this form serves callers that fill a preallocated
+ * array.
  */
 void processPrimitive(const Triangle &tri, const Mat4 &mvp,
                       const Viewport &vp, bool backface_cull,
                       ScreenTriangle *out, std::size_t &count,
                       DrawStats &stats);
-
-/**
- * Approximate screen coverage (in pixels) of a screen triangle; used by the
- * timing model and by GPUpd's projection phase.
- */
-double screenArea(const ScreenTriangle &tri);
 
 /**
  * Twice the signed screen-space area; positive for front-facing triangles

@@ -355,9 +355,8 @@ void rasterizeTriangle(const ScreenTriangle &tri, const Viewport &vp,
                        FragmentSink sink);
 
 /**
- * Count the pixels @p tri covers without emitting fragments (used by timing
- * estimates and by GPUpd's projection phase). Pure coverage masks — no
- * barycentric work.
+ * Count the pixels @p tri covers without emitting fragments (the raster
+ * tests' coverage oracle). Pure coverage masks — no barycentric work.
  */
 std::uint64_t countCoverage(const ScreenTriangle &tri, const Viewport &vp);
 

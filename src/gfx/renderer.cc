@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "util/log.hh"
 #include "util/thread_pool.hh"
@@ -10,17 +9,49 @@
 namespace chopin
 {
 
-namespace gfx_detail
+namespace
 {
 
+/**
+ * Minimum summed bounding-box pixels of a draw's rasterized triangles
+ * before rasterization fans out over tile buckets. Below this the serial
+ * loop wins (bucket setup + pool latency dominate).
+ */
+constexpr std::uint64_t rasterParallelThreshold = 8192;
+
+/** The screen tiling used to bucket triangles for parallel rasterization. */
+struct BinGrid
+{
+    int size = defaultTileSize; ///< bin edge in pixels
+    int nx = 0;                 ///< bins per row
+    int ny = 0;                 ///< bin rows
+
+    int count() const { return nx * ny; }
+
+    /** Inclusive pixel rectangle of bin @p bin, clamped to the viewport. */
+    PixelRect
+    rectOf(int bin, const Viewport &vp) const
+    {
+        PixelRect r;
+        r.x0 = (bin % nx) * size;
+        r.y0 = (bin / nx) * size;
+        r.x1 = std::min(vp.width, r.x0 + size) - 1;
+        r.y1 = std::min(vp.height, r.y0 + size) - 1;
+        return r;
+    }
+};
+
+/**
+ * Bins follow @p grid's own tiles when present, so a touched-tile flag has
+ * a single writer (the bucket rasterizing that tile) and, under
+ * partitioned rendering, every bucket maps to exactly one GPU; otherwise a
+ * default 64-pixel tiling of the viewport.
+ */
 BinGrid
 makeBinGrid(const Viewport &vp, const TileGrid *grid)
 {
     BinGrid b;
     if (grid != nullptr) {
-        // Bins are the ownership grid's own tiles: the touched-tile flag of
-        // a tile then has a single writer (the bucket rasterizing it), and
-        // in partitioned rendering every bucket maps to exactly one GPU.
         b.size = grid->tileSize();
         b.nx = grid->tilesX();
         b.ny = grid->tilesY();
@@ -32,63 +63,21 @@ makeBinGrid(const Viewport &vp, const TileGrid *grid)
     return b;
 }
 
+/**
+ * Geometry processing for a whole draw, serially in primitive order:
+ * screen triangles append to scratch.screen_tris, counters merge into
+ * @p stats.
+ */
 void
-runGeometry(std::span<const Triangle> tris, const Mat4 &mvp,
-            const Viewport &vp, bool backface_cull, RenderScratch &scratch,
-            DrawStats &stats)
+runGeometry(const DrawInput &in, const Viewport &vp, bool backface_cull,
+            RenderScratch &scratch, DrawStats &stats)
 {
-    std::size_t n = tris.size();
-    // One slab for the worst case: a primitive emits at most two screen
-    // triangles (near-plane clip of one-vertex-behind yields a quad).
-    scratch.screen_tris.clear();
-    scratch.screen_tris.resizeUninitialized(2 * n);
-    ScreenTriangle *slab = scratch.screen_tris.data();
-
-    ThreadPool &pool = globalPool();
-    if (pool.jobs() <= 1 || n < geomParallelThreshold) {
-        std::size_t count = 0;
-        for (const Triangle &tri : tris)
-            processPrimitive(tri, mvp, vp, backface_cull, slab, count,
-                             stats);
-        scratch.screen_tris.shrinkTo(count);
-        return;
-    }
-
-    // Fixed chunk boundaries -> fixed disjoint slab slices (chunk c owns
-    // [2*c*per, 2*(c+1)*per)); compacting the filled prefixes in chunk
-    // order reproduces the serial triangle order exactly. Workers touch
-    // only their slice and stats slot — never the arena.
-    std::size_t chunks = std::min<std::size_t>(
-        (n + 63) / 64, static_cast<std::size_t>(pool.jobs()) * 4);
-    std::size_t per = (n + chunks - 1) / chunks;
-    scratch.geom_counts.assign(chunks, 0);
-    scratch.geom_stats.assign(chunks, DrawStats{});
-
-    pool.parallelFor(chunks, [&](std::size_t c) {
-        ScreenTriangle *out = slab + 2 * c * per;
-        std::size_t &count = scratch.geom_counts[c];
-        DrawStats &s = scratch.geom_stats[c];
-        std::size_t hi = std::min(n, (c + 1) * per);
-        for (std::size_t i = c * per; i < hi; ++i)
-            processPrimitive(tris[i], mvp, vp, backface_cull, out, count, s);
-    });
-
-    // In-place forward compaction: dst <= src for every chunk (a chunk's
-    // write position is the sum of predecessors' counts <= 2*c*per), so
-    // memmove copies each surviving range at most once, left-to-right.
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        std::size_t count = scratch.geom_counts[c];
-        ScreenTriangle *src = slab + 2 * c * per;
-        if (count > 0 && slab + total != src)
-            std::memmove(static_cast<void *>(slab + total), src,
-                         count * sizeof(ScreenTriangle));
-        total += count;
-        stats += scratch.geom_stats[c];
-    }
-    scratch.screen_tris.shrinkTo(total);
+    for (const Triangle &tri : in.triangles)
+        processPrimitive(tri, in.mvp, vp, backface_cull, scratch.screen_tris,
+                         stats);
 }
 
+/** Pixel area of the cached bounding box (raster work estimate). */
 std::uint64_t
 boxPixels(const ScreenTriangle &st)
 {
@@ -97,6 +86,14 @@ boxPixels(const ScreenTriangle &st)
            static_cast<std::uint64_t>(st.by1 - st.by0 + 1);
 }
 
+/**
+ * Build the tile-bucket CSR over scratch.kept (indices into
+ * scratch.screen_tris, in draw order). On return: bucket b's payload is
+ * scratch.bin_tris[(b ? bin_counts[b-1] : 0) .. bin_counts[b]), and
+ * scratch.dense_bins lists the nonempty bins in ascending order. Bin
+ * overlap uses the same viewport-clamped bounds helper
+ * (ScreenTriangle::boundsRect) as the rasterizer and countCoverage().
+ */
 void
 binTriangles(RenderScratch &scratch, const BinGrid &bins, const Viewport &vp)
 {
@@ -127,7 +124,7 @@ binTriangles(RenderScratch &scratch, const BinGrid &bins, const Viewport &vp)
         scratch.bin_counts[b] = total;
         total += count;
     }
-    scratch.bin_tris.resizeUninitialized(total);
+    scratch.bin_tris.resize(total);
 
     for (std::uint32_t idx : scratch.kept) {
         PixelRect r =
@@ -143,8 +140,6 @@ binTriangles(RenderScratch &scratch, const BinGrid &bins, const Viewport &vp)
             }
     }
 
-    scratch.dense_bins.clear();
-    scratch.dense_bins.reserve(nbins);
     for (std::size_t b = 0; b < nbins; ++b) {
         std::uint32_t lo = b == 0 ? 0 : scratch.bin_counts[b - 1];
         if (scratch.bin_counts[b] > lo)
@@ -152,52 +147,27 @@ binTriangles(RenderScratch &scratch, const BinGrid &bins, const Viewport &vp)
     }
 }
 
-} // namespace gfx_detail
-
-RenderScratch &
-threadRenderScratch()
+/**
+ * The raster loop behind both entry points: rasterizes scratch.kept into
+ * @p surface, applying only fragments @p filter owns, and charges each
+ * fragment to a stats slot — @p slots[0], or with @p by_owner the slot of
+ * the GPU that owns the fragment's tile in @p grid.
+ *
+ * Serial at one job or below rasterParallelThreshold estimated pixels.
+ * Otherwise binned: buckets own disjoint pixel rectangles and keep draw
+ * order internally, so per-pixel results are bit-identical to the serial
+ * pass, and each bucket's private stats slot merges afterwards in bin
+ * order (integer sums). Bins are @p grid's tiles when one is given, so a
+ * bucket lies inside exactly one owner's tile.
+ */
+void
+rasterizeKept(RenderScratch &scratch, Surface &surface, const Viewport &vp,
+              const DrawInput &in, const RenderFilter &filter,
+              std::uint64_t est_pixels, const TileGrid *grid,
+              std::vector<std::uint8_t> *touched_tiles, bool by_owner,
+              DrawStats *slots)
 {
-    // The one sanctioned piece of thread-local state outside util/: scratch
-    // ownership is *per thread by construction* (each pool worker and the
-    // coordinator get a private instance), so no capability guards it —
-    // sharing is impossible, not merely locked away. See RenderScratch's
-    // ownership contract in gfx/renderer.hh.
-    thread_local RenderScratch scratch; // chopin-lint: allow(global-state)
-    return scratch;
-}
-
-DrawStats
-renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
-           const RenderFilter &filter, std::vector<std::uint8_t> *touched_tiles,
-           const TileGrid *grid)
-{
-    using namespace gfx_detail;
-
-    chopin_assert(surface.width() == vp.width &&
-                  surface.height() == vp.height);
-    chopin_assert(touched_tiles == nullptr || grid != nullptr,
-                  "touched-tile tracking needs a tile grid");
-
-    RenderScratch &scratch = threadRenderScratch();
-    scratch.beginDraw();
-    DrawStats stats;
-    runGeometry(in.triangles, in.mvp, vp, in.backface_cull, scratch, stats);
-
-    // Coarse filter (raster-engine tile reject) + raster work estimate.
-    scratch.kept.reserve(scratch.screen_tris.size());
-    std::uint64_t est_pixels = 0;
-    for (std::size_t i = 0; i < scratch.screen_tris.size(); ++i) {
-        const ScreenTriangle &st = scratch.screen_tris[i];
-        if (!filter.mayTouch(st)) {
-            // The raster engine rejects the whole primitive against this
-            // GPU's tile set without fine rasterization.
-            stats.tris_rasterized -= 1;
-            stats.tris_coarse_rejected += 1;
-            continue;
-        }
-        scratch.kept.push_back(static_cast<std::uint32_t>(i));
-        est_pixels += boxPixels(st);
-    }
+    CHOPIN_DCHECK(!by_owner || grid != nullptr);
 
     // Applies one fragment; returns whether it was written to the surface.
     auto shadeAndApply = [&](DrawStats &s, const Fragment &frag) -> bool {
@@ -225,19 +195,17 @@ renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
             rasterizeTriangleInRect(
                 scratch.screen_tris[idx], vp, full,
                 [&](const Fragment &frag) {
-                    if (shadeAndApply(stats, frag) && touched_tiles != nullptr)
+                    DrawStats &s =
+                        by_owner ? slots[grid->ownerOfPixel(frag.x, frag.y)]
+                                 : slots[0];
+                    if (shadeAndApply(s, frag) && touched_tiles != nullptr)
                         (*touched_tiles)[static_cast<std::size_t>(
                             grid->tileIndexOfPixel(frag.x, frag.y))] = 1;
                 });
         }
-        return stats;
+        return;
     }
 
-    // Parallel path: bucket triangles by the screen tiles their bounding
-    // boxes overlap, rasterize buckets concurrently. Buckets own disjoint
-    // pixel rectangles and keep draw order internally, so per-pixel results
-    // are bit-identical to the serial pass; per-bucket stats slots merge by
-    // integer summation (order-independent).
     BinGrid bins = makeBinGrid(vp, grid);
     binTriangles(scratch, bins, vp);
 
@@ -263,9 +231,135 @@ renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
             (*touched_tiles)[bin] = 1;
     });
 
-    for (const DrawStats &s : scratch.bucket_stats)
-        stats += s;
+    for (std::size_t d = 0; d < scratch.dense_bins.size(); ++d) {
+        int bin = static_cast<int>(scratch.dense_bins[d]);
+        GpuId g =
+            by_owner ? grid->ownerOfTile(bin % bins.nx, bin / bins.nx) : 0;
+        slots[g] += scratch.bucket_stats[d];
+    }
+}
+
+} // namespace
+
+RenderScratch &
+threadRenderScratch()
+{
+    // The one sanctioned piece of thread-local state outside util/: scratch
+    // ownership is *per thread by construction* (each pool worker and the
+    // coordinator get a private instance), so no capability guards it —
+    // sharing is impossible, not merely locked away. See RenderScratch's
+    // ownership contract in gfx/renderer.hh.
+    thread_local RenderScratch scratch; // chopin-lint: allow(global-state)
+    return scratch;
+}
+
+DrawStats
+renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
+           const RenderFilter &filter, std::vector<std::uint8_t> *touched_tiles,
+           const TileGrid *grid)
+{
+    chopin_assert(surface.width() == vp.width &&
+                  surface.height() == vp.height);
+    chopin_assert(touched_tiles == nullptr || grid != nullptr,
+                  "touched-tile tracking needs a tile grid");
+
+    RenderScratch &scratch = threadRenderScratch();
+    scratch.beginDraw();
+    DrawStats stats;
+    runGeometry(in, vp, in.backface_cull, scratch, stats);
+
+    // Coarse filter (raster-engine tile reject) + raster work estimate.
+    std::uint64_t est_pixels = 0;
+    for (std::size_t i = 0; i < scratch.screen_tris.size(); ++i) {
+        const ScreenTriangle &st = scratch.screen_tris[i];
+        if (!filter.mayTouch(st)) {
+            // The raster engine rejects the whole primitive against this
+            // GPU's tile set without fine rasterization.
+            stats.tris_rasterized -= 1;
+            stats.tris_coarse_rejected += 1;
+            continue;
+        }
+        scratch.kept.push_back(static_cast<std::uint32_t>(i));
+        est_pixels += boxPixels(st);
+    }
+
+    rasterizeKept(scratch, surface, vp, in, filter, est_pixels, grid,
+                  touched_tiles, /*by_owner=*/false, &stats);
     return stats;
+}
+
+PartitionedDraw
+renderDrawPartitioned(Surface &target, const Viewport &vp,
+                      const DrawInput &in, const TileGrid &grid,
+                      GeometryCharging charging,
+                      std::vector<std::uint8_t> *touched_tiles)
+{
+    chopin_assert(target.width() == vp.width && target.height() == vp.height);
+
+    unsigned n = grid.numGpus();
+    PartitionedDraw out;
+    out.per_gpu.resize(n);
+    out.owned_tris.assign(n, 0);
+
+    RenderScratch &scratch = threadRenderScratch();
+    scratch.beginDraw();
+    DrawStats geom;
+    runGeometry(in, vp, /*backface_cull=*/false, scratch, geom);
+
+    if (charging == GeometryCharging::Duplicated) {
+        // Every GPU transforms and clips every primitive.
+        for (DrawStats &s : out.per_gpu) {
+            s.verts_shaded += geom.verts_shaded;
+            s.tris_in += geom.tris_in;
+            s.tris_clipped += geom.tris_clipped;
+            s.tris_culled += geom.tris_culled;
+        }
+    }
+    // Clipped-away primitives never reach any GPU under sort-first
+    // distribution (the projection phase drops them).
+
+    // Per-triangle ownership attribution + raster work estimate.
+    std::uint64_t est_pixels = 0;
+    for (std::size_t i = 0; i < scratch.screen_tris.size(); ++i) {
+        const ScreenTriangle &st = scratch.screen_tris[i];
+        std::uint64_t mask = grid.overlappedGpus(st);
+        bool front = signedScreenArea2(st) > 0.0f;
+        bool culled = in.backface_cull && !front;
+
+        for (unsigned g = 0; g < n; ++g) {
+            bool owner = (mask >> g) & 1ULL;
+            DrawStats &s = out.per_gpu[g];
+            if (owner)
+                out.owned_tris[g] += 1;
+
+            if (charging == GeometryCharging::OwnersOnly && owner) {
+                s.verts_shaded += 3;
+                s.tris_in += 1;
+            }
+            if (culled) {
+                bool charged = charging == GeometryCharging::Duplicated ||
+                               owner;
+                if (charged)
+                    s.tris_culled += 1;
+                continue;
+            }
+            if (owner) {
+                s.tris_rasterized += 1;
+            } else if (charging == GeometryCharging::Duplicated) {
+                // Non-owners coarse-reject the primitive in the raster
+                // engine; under OwnersOnly they never see it.
+                s.tris_coarse_rejected += 1;
+            }
+        }
+        if (culled)
+            continue;
+        scratch.kept.push_back(static_cast<std::uint32_t>(i));
+        est_pixels += boxPixels(st);
+    }
+
+    rasterizeKept(scratch, target, vp, in, RenderFilter{}, est_pixels, &grid,
+                  touched_tiles, /*by_owner=*/true, out.per_gpu.data());
+    return out;
 }
 
 } // namespace chopin

@@ -23,7 +23,6 @@
 #include "sfr/comp_scheduler.hh"
 #include "sfr/context.hh"
 #include "sfr/grouping.hh"
-#include "sfr/partition_render.hh"
 #include "sfr/schemes.hh"
 #include "util/log.hh"
 #include "util/thread_pool.hh"
@@ -119,20 +118,6 @@ struct ChopinRun
         subs.clear();
     }
 
-    DrawInput
-    makeInput(const DrawCommand &cmd) const
-    {
-        DrawInput in;
-        in.triangles = cmd.triangles;
-        in.mvp = ctx.trace.view_proj * cmd.model;
-        in.state = cmd.state;
-        in.draw_id = cmd.id;
-        in.alpha_ref = cmd.alpha_ref;
-        in.backface_cull = cmd.backface_cull;
-        in.texture = ctx.textureFor(cmd);
-        return in;
-    }
-
     /** Duplication fallback for one group (Fig. 7, left branch). */
     void
     runDuplicated(const CompositionGroup &group)
@@ -141,10 +126,9 @@ struct ChopinRun
             const DrawCommand &cmd = ctx.trace.draws[i];
             Surface &target = ctx.rts[cmd.state.render_target];
             PartitionedDraw part = renderDrawPartitioned(
-                target, ctx.vp, cmd, ctx.trace.view_proj, ctx.grid,
+                target, ctx.vp, ctx.drawInput(cmd), ctx.grid,
                 GeometryCharging::Duplicated,
-                &ctx.rt_dirty[cmd.state.render_target],
-                ctx.textureFor(cmd));
+                &ctx.rt_dirty[cmd.state.render_target]);
             for (unsigned g = 0; g < ctx.cfg.num_gpus; ++g) {
                 ctx.totals += part.per_gpu[g];
                 ctx.pipes[g].submitDraw(
@@ -215,7 +199,7 @@ struct ChopinRun
                 const DrawCommand &cmd =
                     ctx.trace.draws[group.first_draw + k];
                 draw_stats[k] =
-                    renderDraw(subs[g], ctx.vp, makeInput(cmd),
+                    renderDraw(subs[g], ctx.vp, ctx.drawInput(cmd),
                                RenderFilter{}, &sub_touched[g], &ctx.grid);
             }
         });

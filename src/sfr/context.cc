@@ -114,18 +114,26 @@ SimContext::applyCullRetention(const DrawStats &stats)
     return s;
 }
 
-const Image *
-SimContext::textureFor(const DrawCommand &cmd) const
+DrawInput
+SimContext::drawInput(const DrawCommand &cmd) const
 {
-    if (cmd.texture_rt < 0)
-        return nullptr;
-    chopin_assert(static_cast<std::size_t>(cmd.texture_rt) < rts.size(),
-                  "draw ", cmd.id, " samples nonexistent render target ",
-                  cmd.texture_rt);
-    chopin_assert(static_cast<std::uint32_t>(cmd.texture_rt) !=
-                      cmd.state.render_target,
-                  "draw ", cmd.id, " samples its own render target");
-    return &rts[static_cast<std::size_t>(cmd.texture_rt)].color();
+    DrawInput in;
+    in.triangles = cmd.triangles;
+    in.mvp = trace.view_proj * cmd.model;
+    in.state = cmd.state;
+    in.draw_id = cmd.id;
+    in.alpha_ref = cmd.alpha_ref;
+    in.backface_cull = cmd.backface_cull;
+    if (cmd.texture_rt >= 0) {
+        chopin_assert(static_cast<std::size_t>(cmd.texture_rt) < rts.size(),
+                      "draw ", cmd.id, " samples nonexistent render target ",
+                      cmd.texture_rt);
+        chopin_assert(static_cast<std::uint32_t>(cmd.texture_rt) !=
+                          cmd.state.render_target,
+                      "draw ", cmd.id, " samples its own render target");
+        in.texture = &rts[static_cast<std::size_t>(cmd.texture_rt)].color();
+    }
+    return in;
 }
 
 FrameResult

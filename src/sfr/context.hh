@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "gfx/renderer.hh"
 #include "gfx/surface.hh"
 #include "gfx/tiles.hh"
 #include "sfr/config.hh"
@@ -83,8 +84,12 @@ class SimContext
      */
     DrawStats applyCullRetention(const DrawStats &stats);
 
-    /** The color image a draw samples, or null (validates the RT index). */
-    const Image *textureFor(const DrawCommand &cmd) const;
+    /**
+     * The renderer's view of draw @p cmd: its triangles, the frame's
+     * view-projection times its model matrix, its raster state, and the
+     * color image of the render target it samples (validated), or null.
+     */
+    DrawInput drawInput(const DrawCommand &cmd) const;
 
     /**
      * Assemble the FrameResult after the frame completes at @p end. If

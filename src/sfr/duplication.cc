@@ -11,8 +11,8 @@
 
 #include <algorithm>
 
+#include "gfx/renderer.hh"
 #include "sfr/context.hh"
-#include "sfr/partition_render.hh"
 #include "sfr/schemes.hh"
 
 namespace chopin
@@ -39,9 +39,9 @@ runDuplication(const SystemConfig &cfg, const FrameTrace &trace,
 
         Surface &target = ctx.rts[cmd.state.render_target];
         PartitionedDraw part = renderDrawPartitioned(
-            target, ctx.vp, cmd, trace.view_proj, ctx.grid,
+            target, ctx.vp, ctx.drawInput(cmd), ctx.grid,
             GeometryCharging::Duplicated,
-            &ctx.rt_dirty[cmd.state.render_target], ctx.textureFor(cmd));
+            &ctx.rt_dirty[cmd.state.render_target]);
 
         for (unsigned g = 0; g < cfg.num_gpus; ++g) {
             ctx.totals += part.per_gpu[g];

@@ -22,8 +22,8 @@
 
 #include <algorithm>
 
+#include "gfx/renderer.hh"
 #include "sfr/context.hh"
-#include "sfr/partition_render.hh"
 #include "sfr/schemes.hh"
 
 namespace chopin
@@ -89,10 +89,9 @@ runGpupd(const SystemConfig &cfg, const FrameTrace &trace, bool ideal,
             const DrawCommand &cmd = trace.draws[i];
             Surface &target = ctx.rts[cmd.state.render_target];
             parts.push_back(renderDrawPartitioned(
-                target, ctx.vp, cmd, trace.view_proj, ctx.grid,
+                target, ctx.vp, ctx.drawInput(cmd), ctx.grid,
                 GeometryCharging::OwnersOnly,
-                &ctx.rt_dirty[cmd.state.render_target],
-                ctx.textureFor(cmd)));
+                &ctx.rt_dirty[cmd.state.render_target]));
             for (unsigned g = 0; g < n; ++g)
                 ids_to[g] += parts.back().owned_tris[g] * 4; // 4B per ID
         }

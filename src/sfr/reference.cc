@@ -24,18 +24,9 @@ runSingleGpu(const SystemConfig &cfg, const FrameTrace &trace,
 
     Tick t = 0;
     for (const DrawCommand &cmd : trace.draws) {
-        DrawInput in;
-        in.triangles = cmd.triangles;
-        in.mvp = trace.view_proj * cmd.model;
-        in.state = cmd.state;
-        in.draw_id = cmd.id;
-        in.alpha_ref = cmd.alpha_ref;
-        in.backface_cull = cmd.backface_cull;
-        in.texture = ctx.textureFor(cmd);
-
         Surface &target = ctx.rts[cmd.state.render_target];
         DrawStats stats =
-            renderDraw(target, ctx.vp, in, RenderFilter{},
+            renderDraw(target, ctx.vp, ctx.drawInput(cmd), RenderFilter{},
                        &ctx.rt_dirty[cmd.state.render_target], &ctx.grid);
         ctx.totals += stats;
         ctx.pipes[0].submitDraw(cmd.id, ctx.applyCullRetention(stats), t);

@@ -133,6 +133,93 @@ putFrameBody(std::ostream &os, const FrameTrace &trace)
     }
 }
 
+/** The byte a one-byte field holds, read without loading it as its own
+ *  type: a bool byte other than 0 or 1 is not a valid bool value. */
+template <typename T>
+unsigned
+rawByte(const T &field)
+{
+    static_assert(sizeof(T) == 1);
+    std::uint8_t byte = 0;
+    std::memcpy(&byte, &field, 1);
+    return byte;
+}
+
+/** Reject a frame header the simulator cannot render. Viewport sides are
+ *  capped at 4096, 3.2x the largest Table III frame (1280x1024). */
+bool
+checkFrameHeader(Reader &r, const FrameTrace &trace)
+{
+    const Viewport &vp = trace.viewport;
+    if (vp.width < 1 || vp.width > 4096 || vp.height < 1 || vp.height > 4096)
+        return r.fail("viewport " + std::to_string(vp.width) + "x" +
+                      std::to_string(vp.height) + " outside [1, 4096]");
+    if (trace.num_render_targets < 1 || trace.num_render_targets > 64)
+        return r.fail("num_render_targets " +
+                      std::to_string(trace.num_render_targets) +
+                      " outside [1, 64]");
+    if (trace.num_depth_buffers < 1 || trace.num_depth_buffers > 64)
+        return r.fail("num_depth_buffers " +
+                      std::to_string(trace.num_depth_buffers) +
+                      " outside [1, 64]");
+    return true;
+}
+
+/** Reject a draw whose state indexes past the frame's surfaces or holds a
+ *  bool or enum byte outside its values; the message names the field. */
+bool
+checkDraw(Reader &r, const FrameTrace &trace, std::size_t index,
+          const DrawCommand &d)
+{
+    std::string where = "draw " + std::to_string(index) + ": ";
+    const RasterState &s = d.state;
+    if (s.render_target >= trace.num_render_targets)
+        return r.fail(where + "render_target " +
+                      std::to_string(s.render_target) +
+                      " >= num_render_targets " +
+                      std::to_string(trace.num_render_targets));
+    if (s.depth_buffer >= trace.num_depth_buffers)
+        return r.fail(where + "depth_buffer " +
+                      std::to_string(s.depth_buffer) +
+                      " >= num_depth_buffers " +
+                      std::to_string(trace.num_depth_buffers));
+    if (d.texture_rt < -1 ||
+        d.texture_rt >= static_cast<std::int64_t>(trace.num_render_targets))
+        return r.fail(where + "texture_rt " + std::to_string(d.texture_rt) +
+                      " outside [-1, " +
+                      std::to_string(trace.num_render_targets) + ")");
+    if (d.texture_rt == static_cast<std::int64_t>(s.render_target))
+        return r.fail(where + "texture_rt " + std::to_string(d.texture_rt) +
+                      " is the draw's own render_target");
+
+    struct Field
+    {
+        const char *name;
+        unsigned byte;
+        unsigned max;
+    };
+    const Field fields[] = {
+        {"depth_test", rawByte(s.depth_test), 1},
+        {"depth_write", rawByte(s.depth_write), 1},
+        {"depth_func", rawByte(s.depth_func),
+         static_cast<unsigned>(DepthFunc::Always)},
+        {"blend_op", rawByte(s.blend_op),
+         static_cast<unsigned>(BlendOp::Multiply)},
+        {"shader_discard", rawByte(s.shader_discard), 1},
+        {"stencil_test", rawByte(s.stencil_test), 1},
+        {"stencil_func", rawByte(s.stencil_func),
+         static_cast<unsigned>(DepthFunc::Always)},
+        {"stencil_pass_op", rawByte(s.stencil_pass_op),
+         static_cast<unsigned>(StencilOp::Zero)},
+        {"backface_cull", rawByte(d.backface_cull), 1},
+    };
+    for (const Field &f : fields)
+        if (f.byte > f.max)
+            return r.fail(where + f.name + " byte " + std::to_string(f.byte) +
+                          " outside [0, " + std::to_string(f.max) + "]");
+    return true;
+}
+
 bool
 getFrameBody(Reader &r, FrameTrace &trace)
 {
@@ -144,17 +231,24 @@ getFrameBody(Reader &r, FrameTrace &trace)
         !r.get(trace.clear_depth) || !r.get(trace.num_render_targets) ||
         !r.get(trace.num_depth_buffers))
         return false;
+    if (!checkFrameHeader(r, trace))
+        return false;
     std::uint64_t n_draws = 0;
     if (!r.get(n_draws))
         return false;
     if (n_draws > (1ull << 24))
         return r.fail("unreasonable draw count " + std::to_string(n_draws));
     trace.draws.resize(n_draws);
-    for (DrawCommand &d : trace.draws) {
+    for (std::size_t i = 0; i < trace.draws.size(); ++i) {
+        DrawCommand &d = trace.draws[i];
         if (!r.get(d.id) || !r.get(d.state) || !r.get(d.model) ||
             !r.get(d.alpha_ref) || !r.get(d.backface_cull) ||
             !r.get(d.texture_rt))
             return false;
+        if (!checkDraw(r, trace, i, d)) {
+            trace = FrameTrace{}; // drop the bool bytes that failed the check
+            return false;
+        }
         std::uint64_t n_tris = 0;
         if (!r.get(n_tris))
             return false;

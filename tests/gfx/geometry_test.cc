@@ -135,7 +135,7 @@ TEST(Geometry, ScreenAreaMatchesAnalytic)
     t.v[0] = {{0, 0}, 0, {}};
     t.v[1] = {{10, 0}, 0, {}};
     t.v[2] = {{0, 8}, 0, {}};
-    EXPECT_NEAR(screenArea(t), 40.0, 1e-4);
+    EXPECT_NEAR(signedScreenArea2(t) * 0.5f, 40.0, 1e-4);
     EXPECT_GT(signedScreenArea2(t), 0.0f); // this winding is CCW on screen
 }
 

@@ -3,6 +3,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <functional>
+#include <string>
 
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
@@ -11,6 +14,49 @@ namespace chopin
 {
 namespace
 {
+
+/** Overwrite a one-byte field's storage with @p byte, bypassing its type
+ *  (a bool field then holds an invalid bool, as a corrupt file would). */
+template <typename T>
+void
+poke(T &field, std::uint8_t byte)
+{
+    static_assert(sizeof(T) == 1);
+    std::memcpy(&field, &byte, 1);
+}
+
+/**
+ * Save a generated trace with one field corrupted by @p corrupt, then
+ * expect both loaders to reject it with a diagnostic naming @p field.
+ */
+void
+expectRejected(const std::string &field,
+               const std::function<void(FrameTrace &)> &corrupt)
+{
+    FrameTrace trace = generateBenchmark("wolf", 32);
+    corrupt(trace);
+    // One file per test: ctest runs the cases as concurrent processes.
+    std::string path =
+        ::testing::TempDir() + "/chopin_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".bin";
+    ASSERT_TRUE(saveTrace(trace, path));
+
+    FrameTrace t;
+    ::testing::internal::CaptureStderr();
+    bool loaded = loadTrace(t, path);
+    std::string diagnostic = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(loaded) << field;
+    EXPECT_NE(diagnostic.find(field), std::string::npos) << diagnostic;
+
+    SequenceTrace seq;
+    ::testing::internal::CaptureStderr();
+    loaded = loadSequence(seq, path);
+    diagnostic = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(loaded) << field;
+    EXPECT_NE(diagnostic.find(field), std::string::npos) << diagnostic;
+    std::remove(path.c_str());
+}
 
 TEST(TraceIo, RoundTripPreservesEverything)
 {
@@ -114,6 +160,89 @@ TEST(TraceIo, RejectsUnsupportedVersionCleanly)
     SequenceTrace seq;
     EXPECT_FALSE(loadSequence(seq, path));
     std::remove(path.c_str());
+}
+
+TEST(TraceIo, RejectsViewportOutsideRange)
+{
+    // Sides must lie in [1, 4096].
+    expectRejected("viewport", [](FrameTrace &t) {
+        t.viewport = {200000, 200000};
+    });
+    expectRejected("viewport", [](FrameTrace &t) { t.viewport.width = 0; });
+    expectRejected("viewport", [](FrameTrace &t) {
+        t.viewport.height = 4097;
+    });
+}
+
+TEST(TraceIo, RejectsSurfaceCountsOutsideRange)
+{
+    // num_render_targets and num_depth_buffers must lie in [1, 64].
+    expectRejected("num_render_targets",
+                   [](FrameTrace &t) { t.num_render_targets = 0; });
+    expectRejected("num_render_targets",
+                   [](FrameTrace &t) { t.num_render_targets = 65; });
+    expectRejected("num_depth_buffers",
+                   [](FrameTrace &t) { t.num_depth_buffers = 0; });
+}
+
+TEST(TraceIo, RejectsDrawTargetsPastTheirCount)
+{
+    expectRejected("render_target", [](FrameTrace &t) {
+        t.draws[0].state.render_target = 7;
+    });
+    expectRejected("render_target", [](FrameTrace &t) {
+        t.draws.back().state.render_target = t.num_render_targets;
+    });
+    expectRejected("depth_buffer", [](FrameTrace &t) {
+        t.draws[0].state.depth_buffer = t.num_depth_buffers;
+    });
+}
+
+TEST(TraceIo, RejectsTextureRtOutsideRangeOrOwnTarget)
+{
+    // texture_rt must lie in [-1, num_render_targets) and differ from the
+    // draw's own render target.
+    expectRejected("texture_rt",
+                   [](FrameTrace &t) { t.draws[0].texture_rt = -2; });
+    expectRejected("texture_rt", [](FrameTrace &t) {
+        t.draws[0].texture_rt =
+            static_cast<std::int32_t>(t.num_render_targets);
+    });
+    expectRejected("texture_rt", [](FrameTrace &t) {
+        DrawCommand &d = t.draws[0];
+        d.texture_rt = static_cast<std::int32_t>(d.state.render_target);
+    });
+}
+
+TEST(TraceIo, RejectsEnumAndBoolBytesOutsideTheirValues)
+{
+    expectRejected("depth_func", [](FrameTrace &t) {
+        poke(t.draws[0].state.depth_func, 200);
+    });
+    expectRejected("blend_op", [](FrameTrace &t) {
+        poke(t.draws[0].state.blend_op, 4);
+    });
+    expectRejected("stencil_func", [](FrameTrace &t) {
+        poke(t.draws[0].state.stencil_func, 8);
+    });
+    expectRejected("stencil_pass_op", [](FrameTrace &t) {
+        poke(t.draws[0].state.stencil_pass_op, 5);
+    });
+    expectRejected("depth_test", [](FrameTrace &t) {
+        poke(t.draws[0].state.depth_test, 2);
+    });
+    expectRejected("depth_write", [](FrameTrace &t) {
+        poke(t.draws[0].state.depth_write, 0xff);
+    });
+    expectRejected("shader_discard", [](FrameTrace &t) {
+        poke(t.draws[0].state.shader_discard, 2);
+    });
+    expectRejected("stencil_test", [](FrameTrace &t) {
+        poke(t.draws[0].state.stencil_test, 2);
+    });
+    expectRejected("backface_cull", [](FrameTrace &t) {
+        poke(t.draws.back().backface_cull, 2);
+    });
 }
 
 } // namespace

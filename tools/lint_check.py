@@ -630,7 +630,7 @@ SELFTEST_CASES = [
     ("tick-float", "src/gpu/timing.cc", "Tick t = 2.5 * cycles;", True),
     ("tick-float", "src/gpu/timing.cc",
      "Tick t = static_cast<Tick>(2.5 * cycles);", False),
-    ("thread", "src/comp/algorithms.cc",
+    ("thread", "src/sfr/chopin.cc",
      "std::thread worker(run);", True),
     ("thread", "src/util/thread_pool.cc",
      "std::thread worker(run);", False),  # pool impl exempt
