@@ -191,7 +191,6 @@ struct ChopinRun
         // Worker g writes only subs[g], sub_touched[g] and the stats slots
         // of its own draws. ctx is aliased only for the immutable
         // trace/viewport inputs; render workers never reach ctx.tracer.
-        // chopin-analyze: allow(partition-escape)
         globalPool().parallelFor(n, [&](std::size_t g) {
             for (std::uint32_t k = 0; k < count; ++k) {
                 if (assignment[k] != g)
@@ -250,7 +249,6 @@ struct ChopinRun
         // the counts are schedule-invariant. ctx is captured by reference
         // but the workers read only ctx.cfg/grid (set up before the
         // fan-out, immutable during it) and never reach ctx.tracer.
-        // chopin-analyze: allow(partition-escape)
         globalPool().parallelFor(n, [&](std::size_t gi) {
             unsigned g = static_cast<unsigned>(gi);
             for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
@@ -340,7 +338,6 @@ struct ChopinRun
             static_cast<std::size_t>(ctx.grid.tileCount()),
             // ctx is aliased only for grid geometry reads here; the tile
             // workers never reach ctx.tracer.
-            // chopin-analyze: allow(partition-escape)
             [&](std::size_t tile_index) {
                 int tile = static_cast<int>(tile_index);
                 for (unsigned g = 0; g < n; ++g) {

@@ -57,7 +57,7 @@ struct ThreadPool::Impl
 {
     // Mutated only by the owning thread (construction fills it, join()
     // in the destructor drains it); workers never touch the vector.
-    std::vector<std::thread> workers; // chopin-analyze: allow(lock-coverage)
+    std::vector<std::thread> workers; // chopin-lint: allow(lock-coverage)
 
     Mutex m;
     std::condition_variable cv_work; ///< workers: a new generation exists
@@ -78,10 +78,10 @@ struct ThreadPool::Impl
     // retires — workers read it lock-free inside runChunks. Not
     // GUARDED_BY(m): the generation protocol, not the mutex, makes these
     // reads race-free (TSan-verified in CI).
-    std::size_t n = 0;      // chopin-analyze: allow(lock-coverage)
-    std::size_t grain = 1;  // chopin-analyze: allow(lock-coverage)
-    std::size_t chunks = 0; // chopin-analyze: allow(lock-coverage)
-    const RangeFn *fn = nullptr; // chopin-analyze: allow(lock-coverage)
+    std::size_t n = 0;      // chopin-lint: allow(lock-coverage)
+    std::size_t grain = 1;  // chopin-lint: allow(lock-coverage)
+    std::size_t chunks = 0; // chopin-lint: allow(lock-coverage)
+    const RangeFn *fn = nullptr; // chopin-lint: allow(lock-coverage)
 
     std::atomic<std::size_t> next_chunk{0}; ///< dynamic chunk tickets
 

@@ -4,6 +4,7 @@
 
 #include "sim/event_queue.hh"
 #include "util/check.hh"
+#include "util/thread_pool.hh"
 
 namespace chopin
 {
@@ -117,6 +118,22 @@ TEST(EventQueue, ResetClearsEverything)
     EXPECT_EQ(eq.now(), 0u);
 }
 
+// A pool worker that opens a ScenarioRegion owns a private simulation:
+// its own EventQueue passes the sequential check.
+TEST(EventQueue, ScenarioRegionWorkerDrivesItsOwnQueue)
+{
+    ThreadPool pool(4);
+    std::vector<Tick> ends(8);
+    pool.parallelFor(ends.size(), [&](std::size_t i) {
+        ScenarioRegion region;
+        EventQueue eq;
+        eq.schedule(10 * (i + 1), [] {});
+        ends[i] = eq.run();
+    });
+    for (std::size_t i = 0; i < ends.size(); ++i)
+        EXPECT_EQ(ends[i], 10 * (i + 1));
+}
+
 #if CHOPIN_CHECK_LEVEL >= 1
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 {
@@ -127,6 +144,19 @@ TEST(EventQueueDeath, SchedulingIntoThePastPanics)
             eq.run();
         },
         "scheduled into the past");
+}
+
+// The run-time half of SequentialCap: a coordinator-owned queue touched
+// from inside a parallelFor region aborts.
+TEST(EventQueueDeath, NowFromAParallelForWorkerPanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            ThreadPool pool(4);
+            pool.parallelFor(8, [&](std::size_t) { (void)eq.now(); });
+        },
+        "coordinator-owned state");
 }
 #endif
 

@@ -3,8 +3,8 @@
 
 Every `.cc` file under the scanned directories must appear in the
 exported compilation database: a file missing from the build is
-invisible to clang-tidy and chopin-analyze, so its regressions ship
-silently. This ctest turns that blind spot into a failure.
+invisible to clang-tidy, so its regressions ship silently. This ctest
+turns that blind spot into a failure.
 
 Usage:
   python3 tools/check_compile_commands.py REPO_ROOT COMPILE_COMMANDS \
@@ -63,8 +63,8 @@ def check(root: pathlib.Path, ccj: pathlib.Path, dirs: tuple[str, ...],
     missing = [f for f in wanted if f not in have]
     for f in missing:
         print(f"{f}: not in {ccj.name} — the file is never compiled, so "
-              f"clang-tidy and chopin-analyze cannot see it; add it to "
-              f"the build or delete it")
+              f"clang-tidy cannot see it; add it to the build or delete "
+              f"it")
     print(f"check_compile_commands: {len(wanted)} tree sources, "
           f"{len(have)} database entries under the root, "
           f"{len(missing)} missing")

@@ -12,11 +12,16 @@ remediation recipe of each finding):
                 src/util/rng.* — all randomness flows through the seeded
                 chopin::Rng so simulations stay reproducible.
   wallclock     No wall-clock sources (std::chrono clocks, gettimeofday,
-                clock()) in src/sim and src/sfr — simulated time is the
-                only clock the timing model may observe.
+                clock_gettime, clock()) anywhere in src/ — simulated time
+                is the only clock the simulator may observe.
   hosttime      No host time()/date or locale calls anywhere in src/ —
                 formatting and hashing must not depend on when or where
                 the simulator runs.
+  host-identity No thread identity (std::this_thread, get_id(),
+                pthread_self(), gettid()) or pointer-to-integer values
+                ([u]intptr_t) anywhere in src/ — both change from run to
+                run, so a key, an order or an output derived from one is
+                nondeterministic.
   tick-float    No implicit float/double -> Tick conversions, and no
                 C-style (Tick)/(float)/(double) casts in src/ —
                 truncation must be explicit and reviewable.
@@ -65,6 +70,12 @@ remediation recipe of each finding):
                 vector backend goes through the one audited Lanes layer;
                 a stray _mm_* call elsewhere would not be covered by the
                 scalar-vs-SIMD bit-equality sweep.
+
+  lock-coverage In a src/ class that owns a chopin::Mutex, every mutable
+                data member (not const, static, constexpr, atomic, a
+                Mutex or a condition variable) carries CHOPIN_GUARDED_BY —
+                clang's thread-safety build checks annotated members only.
+                Checked per class over whole statements, not per line.
 
   stale-allow   Every `// chopin-lint: allow(...)` must still be doing
                 work: naming a rule that exists, applies to the file, and
@@ -172,10 +183,6 @@ def in_src(rel: str) -> bool:
     return rel.startswith("src/")
 
 
-def in_sim_or_sfr(rel: str) -> bool:
-    return rel.startswith(("src/sim/", "src/sfr/"))
-
-
 def outside_util(rel: str) -> bool:
     return in_src(rel) and not rel.startswith("src/util/")
 
@@ -190,7 +197,7 @@ RNG_RE = re.compile(
     r"std::random_device\b")
 WALLCLOCK_RE = re.compile(
     r"std::chrono::(?:system_clock|steady_clock|high_resolution_clock)\b|"
-    r"(?<![\w:.])(?:gettimeofday|clock)\s*\(")
+    r"(?<![\w:.])(?:gettimeofday|clock_gettime|clock)\s*\(")
 HOSTTIME_RE = re.compile(
     r"(?<![\w:.])(?:time|localtime|gmtime|strftime|asctime|ctime|"
     r"setlocale)\s*\(|"
@@ -198,6 +205,11 @@ HOSTTIME_RE = re.compile(
 TICK_ASSIGN_RE = re.compile(r"\bTick\s+\w+\s*=\s*(?P<rhs>[^;]*);")
 FLOATING_RE = re.compile(r"\d\.\d|\b(?:float|double)\b|\.0f\b")
 CSTYLE_CAST_RE = re.compile(r"\(\s*(?:Tick|float|double)\s*\)\s*[\w(]")
+# Values that name a host thread or a host address: both change from run
+# to run, so a key or output derived from one is nondeterministic.
+HOST_IDENTITY_RE = re.compile(
+    r"\bstd::this_thread\b|\b(?:get_id|pthread_self|gettid)\s*\(|"
+    r"\bu?intptr_t\b")
 THREAD_RE = re.compile(
     r"\bstd::(?:thread|jthread|async)\b|\bpthread_create\s*\(")
 UNORDERED_RE = re.compile(
@@ -237,8 +249,8 @@ def check_rng(code: str) -> Optional[str]:
 
 def check_wallclock(code: str) -> Optional[str]:
     if WALLCLOCK_RE.search(code):
-        return ("wall-clock / host-time source in the timing model; only "
-                "simulated Ticks may drive it")
+        return ("wall-clock / host-time source in src/; only simulated "
+                "Ticks may drive the simulator")
     return None
 
 
@@ -257,6 +269,14 @@ def check_tick_float(code: str) -> Optional[str]:
                 "static_cast<Tick>(...)")
     if CSTYLE_CAST_RE.search(code):
         return ("C-style cast involving Tick/float/double; use static_cast")
+    return None
+
+
+def check_host_identity(code: str) -> Optional[str]:
+    if HOST_IDENTITY_RE.search(code):
+        return ("thread identity or pointer-to-integer value in src/; it "
+                "differs between runs, so nothing derived from it may key, "
+                "order or reach simulator output")
     return None
 
 
@@ -350,10 +370,10 @@ RULES = [
          lambda rel: in_src(rel) and not rel.startswith("src/util/rng"),
          check_rng),
     Rule("wallclock",
-         "timing model observes simulated Ticks only",
+         "src/ observes simulated Ticks only, never a host clock",
          "derive the value from EventQueue::now() or a Tick parameter; "
          "wall-clock measurement belongs in bench/ harnesses",
-         in_sim_or_sfr,
+         in_src,
          check_wallclock),
     Rule("hosttime",
          "no host time()/locale dependence in src/",
@@ -367,6 +387,13 @@ RULES = [
          "rounding direction against the timing model's conventions",
          in_src,
          check_tick_float),
+    Rule("host-identity",
+         "no thread ids or pointer-derived integers in src/",
+         "key by a simulated identity (GPU id, draw index, tile index) or "
+         "by the slot index parallelFor hands the worker; thread ids and "
+         "addresses change from run to run",
+         in_src,
+         check_host_identity),
     Rule("thread",
          "host parallelism flows through ThreadPool::parallelFor",
          "express the parallel region as ThreadPool::parallelFor over "
@@ -447,16 +474,20 @@ STALE_FIX_HINT = ("delete the stale `// chopin-lint: allow(...)` comment "
                   "'stale-allow' to its rule list with a justification")
 
 
-def stale_allow_findings(rel: str, code: str, comment: str) -> list[str]:
-    """Messages for suppressions on this line that no longer do work."""
+def stale_allow_findings(rel: str, code: str, comment: str,
+                         lock_fired: bool = False) -> list[str]:
+    """Messages for suppressions on this line that no longer do work.
+    @p lock_fired says whether lock-coverage fired on the line."""
     m = ALLOW_RE.search(comment)
     if not m:
         return []
     names = [r.strip() for r in m.group("rules").split(",") if r.strip()]
     if STALE_RULE in names:
         return []  # explicitly prophylactic
-    known = {r.name for r in RULES}
+    known = {r.name for r in RULES} | {LOCK_RULE}
     fired = {r.name for r in RULES if r.applies(rel) and r.check(code)}
+    if lock_fired:
+        fired.add(LOCK_RULE)
     out = []
     for name in names:
         if name not in known:
@@ -468,97 +499,273 @@ def stale_allow_findings(rel: str, code: str, comment: str) -> list[str]:
     return out
 
 
-# --- stale-analyzer-baseline ----------------------------------------------
-# Also not a Rule: it reads tools/analyzer/baseline.json (the accepted
-# chopin-analyze findings) and checks each entry still points at live
-# code. Baseline entries are keyed by qualified function name, so a
-# refactor that renames or deletes the host function leaves a dead entry
-# that would silently mask a future finding with the same key.
+# --- lock-coverage --------------------------------------------------------
+# Also not a Rule: a class spans many lines, so this check walks the whole
+# file's stripped code. In a class that owns a chopin::Mutex, every mutable
+# data member must carry CHOPIN_GUARDED_BY: clang's -Werror=thread-safety
+# build verifies accesses to annotated members only, so an unannotated one
+# is invisible to it.
 
-BASELINE_RULE = "stale-analyzer-baseline"
-BASELINE_SUMMARY = ("every chopin-analyze baseline entry still names an "
-                    "existing file and function")
-BASELINE_FIX_HINT = ("delete the dead entry from tools/analyzer/"
-                     "baseline.json (or run chopin_analyze.py "
-                     "--update-baseline after confirming the tree is "
-                     "clean); baselines must shrink with the code they "
-                     "excuse")
+LOCK_RULE = "lock-coverage"
+LOCK_SUMMARY = ("every mutable member of a Mutex-owning class in src/ is "
+                "CHOPIN_GUARDED_BY-annotated")
+LOCK_FIX_HINT = ("annotate the member CHOPIN_GUARDED_BY(<mutex>) so the "
+                 "clang thread-safety build checks every access; if another "
+                 "protocol makes it race-free (written before the threads "
+                 "start, published by a generation bump), make it const or "
+                 "atomic, or append `// chopin-lint: allow(lock-coverage)` "
+                 "to its line under a comment stating the protocol")
 
-BASELINE_REL = "tools/analyzer/baseline.json"
+_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d[\w.]*|::|\S")
+_TYPE_KEYWORDS = {"class", "struct", "union", "enum"}
+_ACCESS = {"public", "private", "protected"}
+# Members declared with these are not data the mutex could guard.
+_SKIP_HEADS = {"using", "typedef", "friend", "static_assert", "template",
+               "namespace"} | _TYPE_KEYWORDS
+_STORAGE = {"static", "constexpr", "thread_local"}
+_SYNC_TYPES = {"Mutex", "mutex", "recursive_mutex", "shared_mutex",
+               "timed_mutex", "condition_variable",
+               "condition_variable_any", "atomic"}
+_GUARDS = {"CHOPIN_GUARDED_BY", "CHOPIN_PT_GUARDED_BY"}
 
-_QUAL_SENTINEL = "\x00"
+Tok = tuple[str, int]  # (text, line)
 
 
-def _baseline_host(key: str) -> str:
-    """The qualified function name prefix of a finding key.
-
-    Keys look like `ns::Class::fn:callee#0` or `ns::fn:<kind>:capture` —
-    the host ends at the first `:` that is not part of a `::`.
-    """
-    return key.replace("::", _QUAL_SENTINEL).split(":", 1)[0] \
-              .replace(_QUAL_SENTINEL, "::")
-
-
-def stale_baseline_msgs(entries: list[dict],
-                        read_rel) -> list[dict]:
-    """Violations for baseline entries whose anchor code vanished.
-
-    @p read_rel maps a repo-relative path to file text or None when the
-    file does not exist (injected so the self-test runs without a tree).
-    """
-    out = []
-    for e in entries:
-        rel, key = e.get("file", ""), e.get("key", "")
-        text = read_rel(rel)
-        if text is None:
-            out.append({"file": BASELINE_REL, "line": 1,
-                        "rule": BASELINE_RULE,
-                        "message": f"baseline entry [{e.get('rule')}] "
-                                   f"references missing file {rel}"})
-            continue
-        simple = _baseline_host(key).rsplit("::", 1)[-1]
-        if simple and not re.search(rf"\b{re.escape(simple)}\b", text):
-            out.append({"file": BASELINE_REL, "line": 1,
-                        "rule": BASELINE_RULE,
-                        "message": f"baseline entry [{e.get('rule')}] key "
-                                   f"'{key}': function '{simple}' no "
-                                   f"longer exists in {rel}"})
+def _tokens(codes: list[str]) -> list[Tok]:
+    """Tokens of the stripped code, preprocessor lines dropped."""
+    out: list[Tok] = []
+    directive = False
+    for lineno, code in enumerate(codes, start=1):
+        directive = directive or code.lstrip().startswith("#")
+        if not directive:
+            out += [(m.group(), lineno) for m in _TOKEN_RE.finditer(code)]
+        directive = directive and code.rstrip().endswith("\\")
     return out
 
 
-def stale_baseline_findings(root: pathlib.Path) -> list[dict]:
-    path = root / BASELINE_REL
-    if not path.is_file():
-        return []
-    try:
-        entries = json.loads(path.read_text()).get("findings", [])
-    except (json.JSONDecodeError, AttributeError):
-        return [{"file": BASELINE_REL, "line": 1, "rule": BASELINE_RULE,
-                 "message": "baseline file is not valid JSON"}]
+def _match(toks: list[Tok], i: int, open_: str, close: str) -> int:
+    """Index just past the group that opens at toks[i]."""
+    depth = 0
+    for j in range(i, len(toks)):
+        if toks[j][0] == open_:
+            depth += 1
+        elif toks[j][0] == close:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(toks)
 
-    def read_rel(rel: str):
-        p = root / rel
-        return p.read_text() if p.is_file() else None
 
-    return stale_baseline_msgs(entries, read_rel)
+def _drop_access(toks: list[Tok]) -> list[Tok]:
+    while len(toks) >= 2 and toks[0][0] in _ACCESS and toks[1][0] == ":":
+        toks = toks[2:]
+    return toks
+
+
+def _drop_groups(toks: list[Tok], open_: str, close: str) -> list[Tok]:
+    out, i = [], 0
+    while i < len(toks):
+        if toks[i][0] == open_:
+            i = _match(toks, i, open_, close)
+        else:
+            out.append(toks[i])
+            i += 1
+    return out
+
+
+def _drop_annotations(toks: list[Tok]) -> list[Tok]:
+    """Drop CHOPIN_* macros, alignas(...) and [[...]] with their args."""
+    out, i = [], 0
+    while i < len(toks):
+        t = toks[i][0]
+        if t.startswith("CHOPIN_") or t == "alignas":
+            i += 1
+            if i < len(toks) and toks[i][0] == "(":
+                i = _match(toks, i, "(", ")")
+        elif t == "[" and i + 1 < len(toks) and toks[i + 1][0] == "[":
+            i = _match(toks, i, "[", "]")
+        else:
+            out.append(toks[i])
+            i += 1
+    return out
+
+
+def _drop_templates(toks: list[Tok]) -> list[Tok]:
+    """Drop template argument lists: a `<` after a name up to its `>`."""
+    out, i = [], 0
+    while i < len(toks):
+        if toks[i][0] == "<" and out and (out[-1][0][0].isalpha() or
+                                          out[-1][0][0] == "_"):
+            depth, j = 0, i
+            while j < len(toks):
+                t = toks[j][0]
+                if t in (";", "{", "}"):
+                    break
+                depth += (t == "<") - (t == ">")
+                j += 1
+                if depth == 0:
+                    break
+            if depth == 0:
+                i = j
+                continue
+        out.append(toks[i])
+        i += 1
+    return out
+
+
+def _type_head(toks: list[Tok]) -> Optional[list[Tok]]:
+    """The head of a class/struct/union/enum body, or None."""
+    toks = _drop_access(toks)
+    if toks and toks[0][0] == "template":
+        toks = toks[_match(toks, 1, "<", ">"):]
+    if toks and toks[0][0] == "typedef":
+        toks = toks[1:]
+    return toks if toks and toks[0][0] in _TYPE_KEYWORDS else None
+
+
+def _class_name(head: list[Tok]) -> str:
+    parts = []
+    for t, _ in _drop_annotations(head[1:]):
+        if t == "::" or (t[0].isalpha() or t[0] == "_") and t != "final":
+            parts.append(t)
+        else:
+            break
+    return "".join(parts)
+
+
+def _is_body_brace(head: list[Tok]) -> bool:
+    """At class scope: does a `{` after @p head open a method body (not a
+    member's brace initializer)?"""
+    h = _drop_templates(_drop_annotations(_drop_access(head)))
+    texts = [t for t, _ in h]
+    if "(" not in texts:
+        return False
+    params_end = _match(h, texts.index("("), "(", ")")
+    # In a constructor's init list, a brace right after a name
+    # initializes that member; the body follows a `)` or `}`.
+    return ":" not in texts[params_end:] or texts[-1] in (")", "}")
+
+
+def _member(stmt: list[Tok], cls: dict) -> None:
+    """Record the data members a class-scope statement declares."""
+    toks = _drop_access(stmt)
+    texts = [t for t, _ in toks]
+    if not toks or texts[0] in _SKIP_HEADS or "operator" in texts:
+        return
+    guarded = bool(_GUARDS & set(texts))
+    toks = _drop_annotations(toks)
+    eq = [k for k, (t, _) in enumerate(toks) if t == "="]
+    if eq:
+        toks = toks[:eq[0]]
+    toks = _drop_templates(_drop_groups(_drop_groups(toks, "{", "}"),
+                                        "[", "]"))
+    words = {t for t, _ in toks}
+    if "(" in words or "~" in words:
+        return  # method, constructor or destructor declaration
+    if words & _SYNC_TYPES:
+        # A Mutex held by reference or pointer is not owned.
+        if "Mutex" in words and not words & {"*", "&"}:
+            cls["mutex"] = True
+        return
+    if words & _STORAGE:
+        return
+    names = [k for k, (t, _) in enumerate(toks)
+             if t[0].isalpha() or t[0] == "_"]
+    if len(names) < 2:
+        return  # not `Type name` shaped
+    name, line = toks[names[-1]]
+    type_words = [t for t, _ in toks[:names[-1]]]
+    # `const T *p` is a mutable pointer; `T *const p` is const.
+    ptr = [k for k, t in enumerate(type_words) if t == "*"]
+    if "const" not in type_words[ptr[-1] if ptr else 0:]:
+        cls["members"].append((name, line, guarded))
+
+
+def _scan(toks: list[Tok], i: int, cls: Optional[dict],
+          out: list[dict]) -> int:
+    """Walk a scope from toks[i] through its closing `}`; return the index
+    after it. A class scope collects its data members into @p cls."""
+    stmt: list[Tok] = []
+    while i < len(toks):
+        t = toks[i][0]
+        if t == "}":
+            return i + 1
+        if t == ";":
+            if cls is not None:
+                _member(stmt, cls)  # skips `struct X {...};` by its head
+            stmt = []
+            i += 1
+        elif t == "{":
+            head = _type_head(stmt)
+            if head is not None:
+                inner = None
+                if head[0][0] in ("class", "struct"):
+                    inner = {"name": _class_name(head), "members": [],
+                             "mutex": False}
+                i = _scan(toks, i + 1, inner, out)
+                if inner is not None and inner["mutex"]:
+                    out += [{"class": inner["name"], "member": name,
+                             "line": line}
+                            for name, line, guarded in inner["members"]
+                            if not guarded]
+            elif cls is not None and not _is_body_brace(stmt):
+                j = _match(toks, i, "{", "}")
+                stmt += toks[i:j]  # brace initializer
+                i = j
+            else:
+                i = _scan(toks, i + 1, None, out)
+                stmt = []
+        else:
+            stmt.append(toks[i])
+            i += 1
+    return i
+
+
+def lock_coverage(codes: list[str]) -> dict[int, list[str]]:
+    """Line -> messages for unannotated mutable members of Mutex-owning
+    classes, over a file's comment- and string-stripped lines."""
+    found: list[dict] = []
+    toks = _tokens(codes)
+    i = 0
+    while i < len(toks):
+        i = _scan(toks, i, None, found)
+    out: dict[int, list[str]] = {}
+    for f in found:
+        out.setdefault(f["line"], []).append(
+            f"member '{f['member']}' of mutex-owning class {f['class']} "
+            f"is neither CHOPIN_GUARDED_BY-annotated nor const, static or "
+            f"atomic; clang's thread-safety analysis checks annotated "
+            f"members only")
+    return out
 
 
 # --- driver ---------------------------------------------------------------
 
 
-def lint_file(path: pathlib.Path, rel: str) -> list[dict]:
+def lint_text(rel: str, text: str) -> list[dict]:
     rules = [r for r in RULES if r.applies(rel)]
-    violations = []
+    codes, comments = [], []
     in_block_comment = False
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for raw in text.splitlines():
         code, comment, in_block_comment = strip_comments_and_strings(
             raw, in_block_comment)
+        codes.append(code)
+        comments.append(comment)
+    lock = lock_coverage(codes) if in_src(rel) else {}
+
+    violations = []
+    for lineno, (code, comment) in enumerate(zip(codes, comments), start=1):
         for rule in rules:
             message = rule.check(code)
             if message and not allowed(comment, rule.name):
                 violations.append({"file": rel, "line": lineno,
                                    "rule": rule.name, "message": message})
-        for message in stale_allow_findings(rel, code, comment):
+        if not allowed(comment, LOCK_RULE):
+            violations += [{"file": rel, "line": lineno, "rule": LOCK_RULE,
+                            "message": message}
+                           for message in lock.get(lineno, [])]
+        for message in stale_allow_findings(rel, code, comment,
+                                            lineno in lock):
             violations.append({"file": rel, "line": lineno,
                                "rule": STALE_RULE, "message": message})
     return violations
@@ -580,12 +787,12 @@ def run_lint(root: pathlib.Path, json_out: str | None,
             if path.suffix not in SRC_EXTENSIONS:
                 continue
             files += 1
-            violations += lint_file(path, path.relative_to(root).as_posix())
-    violations += stale_baseline_findings(root)
+            violations += lint_text(path.relative_to(root).as_posix(),
+                                    path.read_text())
 
     hint_by_rule = {r.name: r.fix_hint for r in RULES}
+    hint_by_rule[LOCK_RULE] = LOCK_FIX_HINT
     hint_by_rule[STALE_RULE] = STALE_FIX_HINT
-    hint_by_rule[BASELINE_RULE] = BASELINE_FIX_HINT
     for v in violations:
         print(f"{v['file']}:{v['line']}: [{v['rule']}] {v['message']}")
         if fix_hints:
@@ -600,10 +807,10 @@ def run_lint(root: pathlib.Path, json_out: str | None,
             "files": files,
             "rules": [{"name": r.name, "summary": r.summary,
                        "fix_hint": r.fix_hint} for r in RULES] +
-                     [{"name": STALE_RULE, "summary": STALE_SUMMARY,
-                       "fix_hint": STALE_FIX_HINT},
-                      {"name": BASELINE_RULE, "summary": BASELINE_SUMMARY,
-                       "fix_hint": BASELINE_FIX_HINT}],
+                     [{"name": LOCK_RULE, "summary": LOCK_SUMMARY,
+                       "fix_hint": LOCK_FIX_HINT},
+                      {"name": STALE_RULE, "summary": STALE_SUMMARY,
+                       "fix_hint": STALE_FIX_HINT}],
             "violations": violations,
         }
         pathlib.Path(json_out).write_text(json.dumps(report, indent=2) + "\n")
@@ -623,13 +830,40 @@ SELFTEST_CASES = [
     ("wallclock", "src/sim/event_queue.cc",
      "auto t = std::chrono::steady_clock::now();", True),
     ("wallclock", "src/gfx/raster.cc",
-     "auto t = std::chrono::steady_clock::now();", False),  # scope: sim/sfr
+     "auto t = std::chrono::steady_clock::now();", True),  # all of src/
+    ("wallclock", "bench/perf_frame.cpp",
+     "auto t = std::chrono::steady_clock::now();", False),  # bench times
+    ("wallclock", "src/core/sweep.cc", "clock_gettime(CLOCK_MONOTONIC, &t);",
+     True),
+    ("wallclock", "src/core/sweep.cc", "int clock_gettime_calls = 0;", False),
     ("hosttime", "src/gfx/raster.cc", "time_t t = time(nullptr);", True),
     ("hosttime", "src/stats/table.cc", "os.imbue(std::locale(\"\"));", True),
     ("hosttime", "src/gpu/timing.cc", "Tick finish_time(int g);", False),
     ("tick-float", "src/gpu/timing.cc", "Tick t = 2.5 * cycles;", True),
     ("tick-float", "src/gpu/timing.cc",
      "Tick t = static_cast<Tick>(2.5 * cycles);", False),
+    ("host-identity", "src/util/thread_pool.cc",
+     "auto id = std::this_thread::get_id();", True),  # no exemption
+    ("host-identity", "src/sfr/chopin.cc", "int n = this_thread_count;",
+     False),
+    ("host-identity", "src/sfr/chopin.cc", "auto id = w.get_id();", True),
+    ("host-identity", "src/sfr/chopin.cc", "auto id = w.get_identity;", False),
+    ("host-identity", "src/core/sweep.cc", "auto t = pthread_self();", True),
+    ("host-identity", "src/core/sweep.cc", "int pthread_self_n = 0;", False),
+    ("host-identity", "src/core/sweep.cc", "pid_t t = gettid();", True),
+    ("host-identity", "src/core/sweep.cc", "int gettid_calls = 0;", False),
+    ("host-identity", "src/gfx/renderer.cc",
+     "auto k = reinterpret_cast<std::uintptr_t>(&surface);", True),
+    ("host-identity", "src/gfx/renderer.cc", "std::uint64_t k = s.id;",
+     False),
+    ("host-identity", "src/gfx/renderer.cc", "intptr_t k = p - q;", True),
+    ("host-identity", "src/gfx/renderer.cc", "std::ptrdiff_t k = p - q;",
+     False),
+    ("host-identity", "bench/perf_frame.cpp",
+     "auto id = std::this_thread::get_id();", False),  # scope: src/
+    ("host-identity", "src/gfx/renderer.cc",
+     "auto k = std::uintptr_t(p); // chopin-lint: allow(host-identity)",
+     False),
     ("thread", "src/sfr/chopin.cc",
      "std::thread worker(run);", True),
     ("thread", "src/util/thread_pool.cc",
@@ -724,25 +958,102 @@ STALE_SELFTEST_CASES = [
     ("src/gfx/raster.cc", "int x = 3;", False),  # no suppression at all
 ]
 
-# stale-analyzer-baseline cases run through stale_baseline_msgs with an
-# injected file-content lookup (no tree needed). The fake tree has one
-# file with one function.
-_BASELINE_FAKE_TREE = {
-    "src/sim/engine.cc": "Tick chopin::Engine::advance(Tick t) { }",
-}
+# lock-coverage cases run whole files through lint_text. Each lists the
+# members it must report and how many stale-allow findings it yields.
+_SWEEP = """\
+class SweepRunner
+{
+  public:
+    explicit SweepRunner(SweepOptions options);
+    SweepRunner(const SweepRunner &) = delete;
+    SweepRunner &operator=(const SweepRunner &) = delete;
+    const SweepOptions &options() const { return opts; }
+    const FrameResult &
+    run(Scheme scheme, const std::string &bench)
+    {
+        return run(Scenario{scheme, bench});
+    }
 
-BASELINE_SELFTEST_CASES = [
-    # (entry, should fire?)
-    ({"rule": "tick-narrow", "file": "src/sim/engine.cc",
-      "key": "chopin::Engine::advance:narrow#0"}, False),  # alive
-    ({"rule": "tick-narrow", "file": "src/sim/engine.cc",
-      "key": "chopin::Engine::renamed:narrow#0"}, True),  # fn vanished
-    ({"rule": "partition-escape", "file": "src/sim/deleted.cc",
-      "key": "chopin::gone:<ref>:ctx"}, True),  # file vanished
-    ({"rule": "partition-escape", "file": "src/sim/engine.cc",
-      "key": "chopin::Engine::advance:<ref>:ctx"}, False),  # multi-colon key
-    ({"rule": "det-taint", "file": "src/sim/engine.cc",
-      "key": "advance:span arg:thread-id"}, False),  # unqualified host
+  private:
+    struct TraceEntry
+    {
+        FrameTrace trace;
+        std::uint64_t fp = 0;
+    };
+    using Key = std::uint64_t;
+    enum class Phase { Cold, Warm };
+
+    const SweepOptions opts; ///< immutable after construction
+    static int instances;
+    static constexpr int kShards = 4;
+    std::atomic<int> hits{0};
+    std::condition_variable cv;
+    Mutex *peer = nullptr;
+    mutable Mutex m;
+    std::map<std::uint64_t, FrameResult> results CHOPIN_GUARDED_BY(m);
+    std::map<std::uint64_t, SequenceResult> seq_results
+        CHOPIN_GUARDED_BY(m);
+    SweepStats counters CHOPIN_GUARDED_BY(m);
+};
+"""
+
+_POOL = """\
+struct ThreadPool::Impl
+{
+    std::vector<std::thread> workers;
+    Mutex m;
+    std::uint64_t generation CHOPIN_GUARDED_BY(m) = 0;
+    std::size_t n = 0;
+    std::size_t grain = 1;
+    std::size_t chunks = 0;
+    const RangeFn *fn = nullptr;
+    std::atomic<std::size_t> next_chunk{0};
+    Mutex job_mutex CHOPIN_ACQUIRED_BEFORE(m);
+
+    Impl() : n{0}, grain(1) { chunks = 0; }
+    void
+    runChunks()
+    {
+        std::size_t c = next_chunk.fetch_add(1);
+        (*fn)(c * grain, n);
+    }
+};
+"""
+
+LOCK_SELFTEST_CASES = [
+    # (label, rel path, source, members reported, stale-allow count)
+    ("annotated sweep runner", "src/core/sweep.hh", _SWEEP, set(), 0),
+    ("new unannotated int member", "src/core/sweep.hh",
+     _SWEEP.replace("    mutable Mutex m;\n",
+                    "    mutable Mutex m;\n    int extra;\n"),
+     {"extra"}, 0),
+    ("counters unannotated", "src/core/sweep.hh",
+     _SWEEP.replace("counters CHOPIN_GUARDED_BY(m)", "counters"),
+     {"counters"}, 0),
+    ("two-line seq_results unannotated", "src/core/sweep.hh",
+     _SWEEP.replace("seq_results\n        CHOPIN_GUARDED_BY(m)",
+                    "seq_results\n        "),
+     {"seq_results"}, 0),
+    ("Mutex only by pointer", "src/core/sweep.hh",
+     _SWEEP.replace("    mutable Mutex m;\n", "")
+     .replace("counters CHOPIN_GUARDED_BY(m)", "counters"), set(), 0),
+    ("out of scope", "bench/common.hh",
+     _SWEEP.replace("counters CHOPIN_GUARDED_BY(m)", "counters"), set(), 0),
+    ("generation-protocol fields", "src/util/thread_pool.cc", _POOL,
+     {"workers", "n", "grain", "chunks", "fn"}, 0),
+    ("pointer to const is mutable, const pointer is not",
+     "src/util/thread_pool.cc",
+     _POOL.replace("const RangeFn *fn", "RangeFn *const fn"),
+     {"workers", "n", "grain", "chunks"}, 0),
+    ("suppressed", "src/util/thread_pool.cc",
+     _POOL.replace("std::size_t n = 0;",
+                   "std::size_t n = 0; // chopin-lint: allow(lock-coverage)"),
+     {"workers", "grain", "chunks", "fn"}, 0),
+    ("suppression on an annotated member is stale", "src/core/sweep.hh",
+     _SWEEP.replace("counters CHOPIN_GUARDED_BY(m);",
+                    "counters CHOPIN_GUARDED_BY(m); "
+                    "// chopin-lint: allow(lock-coverage)"),
+     set(), 1),
 ]
 
 
@@ -776,16 +1087,18 @@ def self_test() -> int:
             print(f"self-test FAIL: [{STALE_RULE}] {line!r} in {rel}: "
                   f"fired={fired}, expected {should_fire}")
             failures += 1
-    for entry, should_fire in BASELINE_SELFTEST_CASES:
-        fired = bool(stale_baseline_msgs([entry],
-                                         _BASELINE_FAKE_TREE.get))
-        if fired == should_fire:
-            verdict = "fires on" if should_fire else "passes"
-            print(f"self-test ok: [{BASELINE_RULE}] {verdict} "
-                  f"{entry['key']!r}")
+    for label, rel, text, members, stale in LOCK_SELFTEST_CASES:
+        found = lint_text(rel, text)
+        got = {re.match(r"member '(\w+)'", v["message"]).group(1)
+               for v in found if v["rule"] == LOCK_RULE}
+        got_stale = sum(v["rule"] == STALE_RULE for v in found)
+        if got == members and got_stale == stale:
+            print(f"self-test ok: [{LOCK_RULE}] {label}: "
+                  f"{sorted(got) or 'quiet'}")
         else:
-            print(f"self-test FAIL: [{BASELINE_RULE}] {entry!r}: "
-                  f"fired={fired}, expected {should_fire}")
+            print(f"self-test FAIL: [{LOCK_RULE}] {label}: reported "
+                  f"{sorted(got)} with {got_stale} stale-allow, expected "
+                  f"{sorted(members)} with {stale}")
             failures += 1
     print(f"lint_check self-test: {failures} failure(s)")
     return 1 if failures else 0
@@ -810,8 +1123,8 @@ def main(argv: list[str]) -> int:
     if args.list_rules:
         for r in RULES:
             print(f"{r.name:<13} {r.summary}")
+        print(f"{LOCK_RULE:<13} {LOCK_SUMMARY}")
         print(f"{STALE_RULE:<13} {STALE_SUMMARY}")
-        print(f"{BASELINE_RULE} {BASELINE_SUMMARY}")
         return 0
     if args.self_test:
         return self_test()

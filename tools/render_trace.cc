@@ -78,9 +78,10 @@ main(int argc, char **argv)
     if (!trace_out.empty())
         checkWritablePath(trace_out, "--trace-out");
 
+    // The loader has already warned why the file was rejected.
     FrameTrace trace;
     if (!loadTrace(trace, cli.positional()[0]))
-        fatal("cannot open '", cli.positional()[0], "'");
+        fatal("trace '", cli.positional()[0], "' rejected");
 
     long gpus = cli.getInt("gpus");
     CHOPIN_CHECK(gpus >= 1 && gpus <= 64,

@@ -27,9 +27,10 @@ main(int argc, char **argv)
     if (cli.positional().size() != 1)
         fatal("usage: trace_info <file.trace> [--threshold=N]");
 
+    // The loader has already warned why the file was rejected.
     SequenceTrace seq;
     if (!loadSequence(seq, cli.positional()[0]))
-        fatal("cannot open '", cli.positional()[0], "'");
+        fatal("trace '", cli.positional()[0], "' rejected");
     const FrameTrace &trace = seq.base;
 
     if (seq.frameCount() > 1) {
