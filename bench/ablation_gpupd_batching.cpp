@@ -17,9 +17,24 @@ main(int argc, char **argv)
     Harness h("Ablation: GPUpd batching and runahead", 1);
     h.parse(argc, argv);
 
+    const std::uint64_t batches[] = {512, 2048, 8192};
+    {
+        SystemConfig base;
+        base.num_gpus = h.gpus();
+        std::vector<SystemConfig> cfgs;
+        for (std::uint64_t batch : batches)
+            for (bool runahead : {false, true}) {
+                SystemConfig cfg = base;
+                cfg.gpupd_batch_prims = batch;
+                cfg.gpupd_runahead = runahead;
+                cfgs.push_back(cfg);
+            }
+        h.prefetch(h.grid({Scheme::Duplication}, {base}));
+        h.prefetch(h.grid({Scheme::Gpupd}, cfgs));
+    }
     TextTable table({"batch prims", "runahead", "gmean speedup vs dup",
                      "gmean distribution share"});
-    for (std::uint64_t batch : {512ull, 2048ull, 8192ull}) {
+    for (std::uint64_t batch : batches) {
         for (bool runahead : {false, true}) {
             std::vector<double> speedups, dist_shares;
             for (const std::string &name : h.benchmarks()) {
@@ -29,9 +44,7 @@ main(int argc, char **argv)
                     h.run(Scheme::Duplication, name, cfg);
                 cfg.gpupd_batch_prims = batch;
                 cfg.gpupd_runahead = runahead;
-                // Bypass the cache: the harness key does not cover these
-                // GPUpd knobs, so run directly.
-                FrameResult r = runGpupd(cfg, h.trace(name), false);
+                const FrameResult &r = h.run(Scheme::Gpupd, name, cfg);
                 speedups.push_back(speedupOver(base, r));
                 dist_shares.push_back(
                     static_cast<double>(r.breakdown.prim_distribution) /

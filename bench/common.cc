@@ -6,7 +6,6 @@
 
 #include "stats/tracer.hh"
 #include "util/check.hh"
-#include "util/log.hh"
 
 namespace chopin::bench
 {
@@ -190,10 +189,10 @@ Harness::writeTraceSample(Scheme scheme, const SystemConfig &cfg)
 double
 gmean(const std::vector<double> &values)
 {
-    chopin_assert(!values.empty());
+    CHOPIN_CHECK(!values.empty());
     double log_sum = 0.0;
     for (double v : values) {
-        chopin_assert(v > 0.0);
+        CHOPIN_CHECK(v > 0.0);
         log_sum += std::log(v);
     }
     return std::exp(log_sum / static_cast<double>(values.size()));

@@ -15,9 +15,7 @@
  * determinism oracle, not the metric. Writes a JSON summary (default
  * BENCH_frame.json) consumed by tools/bench_json.py.
  *
- * Three engine-level series ride along in the same JSON:
- *  - `event_queue_ns_per_event`: schedule+dispatch cost of one EventQueue
- *    event with an inline (small-buffer) callback capture.
+ * Two engine-level series ride along in the same JSON:
  *  - `raster_speedup`: ns/pixel of the quad rasterizer's native SIMD lanes
  *    over the one-pixel-at-a-time scalar reference (both compiled from the
  *    same kernel in gfx/raster.hh), on a deterministic triangle soup. An
@@ -44,7 +42,6 @@
 #include <limits>
 
 #include "gfx/raster.hh"
-#include "sim/event_queue.hh"
 #include "stats/metrics.hh"
 #include "stats/report.hh"
 #include "trace/generator.hh"
@@ -82,8 +79,8 @@ checkIdentical(const FrameResult &serial, const FrameResult &parallel,
     std::string names;
     for (const std::string &n : chopin::metricsDiff(a, b))
         names += (names.empty() ? "" : ", ") + n;
-    chopin_assert(false, what, ": metrics differ between --jobs=1 and "
-                  "--jobs=N: ", names);
+    CHOPIN_CHECK(false, what, ": metrics differ between --jobs=1 and "
+                 "--jobs=N: ", names);
 }
 
 /** Same idea for a whole stream run: every registered stream metric (which
@@ -101,8 +98,8 @@ checkIdenticalStream(const chopin::SequenceResult &serial,
     std::string names;
     for (const std::string &n : chopin::metricsDiff(a, b))
         names += (names.empty() ? "" : ", ") + n;
-    chopin_assert(false, what, ": stream metrics differ between --jobs=1 "
-                  "and --jobs=N: ", names);
+    CHOPIN_CHECK(false, what, ": stream metrics differ between --jobs=1 "
+                 "and --jobs=N: ", names);
 }
 
 struct Measurement
@@ -121,30 +118,6 @@ double
 mtrisPerSecond(std::uint64_t tris, double ns)
 {
     return ns <= 0.0 ? 0.0 : static_cast<double>(tris) * 1000.0 / ns;
-}
-
-/** Schedule+dispatch cost of one EventQueue event whose capture fits the
- *  InlineFunction small buffer (the common case for timing-model events). */
-double
-measureEventQueueNs(int repeat)
-{
-    constexpr int events = 1 << 17;
-    double best = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < repeat; ++rep) {
-        chopin::EventQueue eq;
-        eq.reserve(events);
-        std::uint64_t sum = 0;
-        double ns = elapsedNs([&] {
-            for (int i = 0; i < events; ++i)
-                eq.schedule(static_cast<chopin::Tick>(i % 1024),
-                            [&sum, i] { sum += static_cast<unsigned>(i); });
-            eq.run();
-        });
-        chopin_assert(sum == std::uint64_t(events) * (events - 1) / 2,
-                      "event queue bench dropped events");
-        best = std::min(best, ns / events);
-    }
-    return best;
 }
 
 /**
@@ -244,16 +217,16 @@ rasterTimedNs(const std::vector<chopin::ScreenTriangle> &soup,
                     chopin::rasterizeTriangleInRectAs<Lanes>(st, vp, full,
                                                              sink);
         });
-        chopin_assert(pixels ==
-                          expected_pixels * static_cast<std::uint64_t>(passes),
-                      "raster bench: timed pass coverage diverged from the "
-                      "oracle pass");
+        CHOPIN_CHECK(pixels ==
+                         expected_pixels * static_cast<std::uint64_t>(passes),
+                     "raster bench: timed pass coverage diverged from the "
+                     "oracle pass");
         // Keeps the interpolation fold observable and doubles as a
         // repetition-determinism check.
         if (rep == 0)
             fold_ref = fold;
-        chopin_assert(fold == fold_ref,
-                      "raster bench: timed repetitions diverged");
+        CHOPIN_CHECK(fold == fold_ref,
+                     "raster bench: timed repetitions diverged");
         best = std::min(best, ns);
     }
     return best;
@@ -361,8 +334,6 @@ main(int argc, char **argv)
                   formatDouble(gmean_speedup, 2) + "x"});
     h.emit(table);
 
-    double event_queue_ns = measureEventQueueNs(repeat);
-
     // Quad-rasterizer series: native SIMD lanes vs the one-pixel scalar
     // reference, both instantiated from the same kernel. The fragment-hash
     // oracle runs first — a speedup between two non-identical computations
@@ -376,10 +347,10 @@ main(int argc, char **argv)
         rasterOracle<simd::ScalarLanes<1>>(soup, raster_vp, raster_full);
     const RasterOracle oracle_simd =
         rasterOracle<simd::NativeLanes>(soup, raster_vp, raster_full);
-    chopin_assert(oracle_scalar.pixels == oracle_simd.pixels &&
-                      oracle_scalar.hash == oracle_simd.hash,
-                  "raster bench: ", simd::kNativeBackend,
-                  " lanes are not bit-identical to the scalar reference");
+    CHOPIN_CHECK(oracle_scalar.pixels == oracle_simd.pixels &&
+                     oracle_scalar.hash == oracle_simd.hash,
+                 "raster bench: ", simd::kNativeBackend,
+                 " lanes are not bit-identical to the scalar reference");
     constexpr int raster_passes = 6;
     double raster_ns_scalar =
         rasterTimedNs<simd::ScalarLanes<1>>(soup, raster_vp, raster_full,
@@ -467,9 +438,7 @@ main(int argc, char **argv)
                   hybrid_run.ns_parallel
             : 0.0;
 
-    std::cout << "\nevent queue: "
-              << formatDouble(event_queue_ns, 1) << " ns/event\n"
-              << "raster kernel: " << simd::kNativeBackend << " x"
+    std::cout << "\nraster kernel: " << simd::kNativeBackend << " x"
               << simd::NativeLanes::width << ", "
               << formatDouble(raster_ns_per_pixel_scalar, 2)
               << " ns/px scalar, " << formatDouble(raster_ns_per_pixel, 2)
@@ -491,7 +460,7 @@ main(int argc, char **argv)
 
     if (!out_path.empty()) {
         std::ofstream out(out_path);
-        chopin_assert(out.good(), "cannot write ", out_path);
+        CHOPIN_CHECK(out.good(), "cannot write ", out_path);
         JsonWriter w(out);
         w.beginObject();
         w.field("scale", h.scale());
@@ -499,7 +468,6 @@ main(int argc, char **argv)
         w.field("jobs_parallel", jobs_parallel);
         w.field("repeat", repeat);
         w.field("gmean_speedup", gmean_speedup);
-        w.field("event_queue_ns_per_event", event_queue_ns);
         w.field("raster_speedup", raster_speedup);
         w.field("raster_ns_per_pixel", raster_ns_per_pixel);
         w.field("raster_ns_per_pixel_scalar", raster_ns_per_pixel_scalar);
@@ -544,7 +512,7 @@ main(int argc, char **argv)
         // stream makespan, so --compare doubles as the cross-run (and
         // cross-build) stream determinism check.
         std::ofstream out(stream_out_path);
-        chopin_assert(out.good(), "cannot write ", stream_out_path);
+        CHOPIN_CHECK(out.good(), "cannot write ", stream_out_path);
         JsonWriter w(out);
         w.beginObject();
         w.field("scale", h.scale());

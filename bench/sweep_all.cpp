@@ -77,6 +77,16 @@ buildSuite(const std::vector<std::string> &benches, unsigned gpus)
                     fig.grid.push_back(Scenario{s, bench, cfg});
         figures.push_back(std::move(fig));
     };
+    // A sensitivity sweep normalized to Duplication at the base config:
+    // the swept schemes at every variant, Duplication only at the base.
+    auto sweepVsBase = [&](const std::string &name,
+                           const std::vector<Scheme> &schemes,
+                           const std::vector<SystemConfig> &cfgs) {
+        cross(name, schemes, cfgs);
+        for (const std::string &bench : benches)
+            figures.back().grid.push_back(
+                Scenario{Scheme::Duplication, bench, baseConfig(gpus)});
+    };
 
     const std::vector<Scheme> main_schemes = {
         Scheme::Duplication,     Scheme::Gpupd, Scheme::GpupdIdeal,
@@ -135,16 +145,16 @@ buildSuite(const std::vector<std::string> &benches, unsigned gpus)
           {baseConfig(gpus)});
     // Fig. 18: scheduler-feedback staleness sweep.
     {
-        std::vector<SystemConfig> cfgs{baseConfig(gpus)};
+        std::vector<SystemConfig> cfgs;
         for (std::uint64_t interval : {1ull, 256ull, 512ull, 1024ull}) {
             SystemConfig cfg = baseConfig(gpus);
             cfg.sched_update_tris = interval;
             cfgs.push_back(cfg);
         }
-        cross("fig18_sched_update_freq",
-              {Scheme::Duplication, Scheme::Chopin, Scheme::ChopinCompSched,
-               Scheme::ChopinIdeal},
-              cfgs);
+        sweepVsBase("fig18_sched_update_freq",
+                    {Scheme::Chopin, Scheme::ChopinCompSched,
+                     Scheme::ChopinIdeal},
+                    cfgs);
     }
     // Fig. 19: GPU-count sweep.
     {
@@ -175,16 +185,16 @@ buildSuite(const std::vector<std::string> &benches, unsigned gpus)
     }
     // Fig. 22: composition-group threshold sweep.
     {
-        std::vector<SystemConfig> cfgs{baseConfig(gpus)};
+        std::vector<SystemConfig> cfgs;
         for (std::uint64_t thr : {256ull, 1024ull, 4096ull, 16384ull}) {
             SystemConfig cfg = baseConfig(gpus);
             cfg.group_threshold = thr;
             cfgs.push_back(cfg);
         }
-        cross("fig22_group_threshold",
-              {Scheme::Duplication, Scheme::Chopin, Scheme::ChopinCompSched,
-               Scheme::ChopinIdeal},
-              cfgs);
+        sweepVsBase("fig22_group_threshold",
+                    {Scheme::Chopin, Scheme::ChopinCompSched,
+                     Scheme::ChopinIdeal},
+                    cfgs);
     }
     // Scheduler-traffic table (Section VI-D).
     {
@@ -198,7 +208,7 @@ buildSuite(const std::vector<std::string> &benches, unsigned gpus)
     }
     // Ablations: composition payload, GPUpd batching, tile assignment.
     {
-        std::vector<SystemConfig> cfgs{baseConfig(gpus)};
+        std::vector<SystemConfig> cfgs;
         for (CompPayload p :
              {CompPayload::WrittenPixels, CompPayload::SubTiles,
               CompPayload::FullTiles}) {
@@ -206,11 +216,11 @@ buildSuite(const std::vector<std::string> &benches, unsigned gpus)
             cfg.comp_payload = p;
             cfgs.push_back(cfg);
         }
-        cross("ablation_comp_payload",
-              {Scheme::Duplication, Scheme::ChopinCompSched}, cfgs);
+        sweepVsBase("ablation_comp_payload", {Scheme::ChopinCompSched},
+                    cfgs);
     }
     {
-        std::vector<SystemConfig> cfgs{baseConfig(gpus)};
+        std::vector<SystemConfig> cfgs;
         for (std::uint64_t batch : {512ull, 2048ull, 8192ull})
             for (bool runahead : {false, true}) {
                 SystemConfig cfg = baseConfig(gpus);
@@ -218,8 +228,7 @@ buildSuite(const std::vector<std::string> &benches, unsigned gpus)
                 cfg.gpupd_runahead = runahead;
                 cfgs.push_back(cfg);
             }
-        cross("ablation_gpupd_batching",
-              {Scheme::Duplication, Scheme::Gpupd}, cfgs);
+        sweepVsBase("ablation_gpupd_batching", {Scheme::Gpupd}, cfgs);
     }
     {
         std::vector<SystemConfig> cfgs;
@@ -255,7 +264,7 @@ void
 checkIdentical(const FrameResult &a, const FrameResult &b,
                const std::string &what)
 {
-    chopin_assert(a.scheme == b.scheme, what, ": scheme differs");
+    CHOPIN_CHECK(a.scheme == b.scheme, what, ": scheme differs");
     if (!metricsEqual(static_cast<const FrameAccounting &>(a),
                       static_cast<const FrameAccounting &>(b))) {
         std::string names;
@@ -263,15 +272,15 @@ checkIdentical(const FrameResult &a, const FrameResult &b,
              metricsDiff(static_cast<const FrameAccounting &>(a),
                          static_cast<const FrameAccounting &>(b)))
             names += (names.empty() ? "" : ", ") + n;
-        chopin_assert(false, what,
-                      ": metrics differ between cold and warm runs: ",
-                      names);
+        CHOPIN_CHECK(false, what,
+                     ": metrics differ between cold and warm runs: ",
+                     names);
     }
-    chopin_assert(a.draw_timings.size() == b.draw_timings.size(),
-                  what, ": draw-timing record count differs");
+    CHOPIN_CHECK(a.draw_timings.size() == b.draw_timings.size(),
+                 what, ": draw-timing record count differs");
     for (std::size_t i = 0; i < a.draw_timings.size(); ++i)
-        chopin_assert(metricsEqual(a.draw_timings[i], b.draw_timings[i]),
-                      what, ": draw timing record ", i, " differs");
+        CHOPIN_CHECK(metricsEqual(a.draw_timings[i], b.draw_timings[i]),
+                     what, ": draw timing record ", i, " differs");
 }
 
 /** Peak resident set of this process so far, in MB. */
@@ -454,7 +463,7 @@ main(int argc, char **argv)
 
     if (!out_path.empty()) {
         std::ofstream out(out_path);
-        chopin_assert(out.good(), "cannot write ", out_path);
+        CHOPIN_CHECK(out.good(), "cannot write ", out_path);
         JsonWriter w(out);
         w.beginObject();
         w.field("scale", h.scale());

@@ -1,52 +1,16 @@
 #include "core/chopin.hh"
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
 
-std::vector<FrameResult>
-runMainComparison(const SystemConfig &cfg, const FrameTrace &trace)
-{
-    static const Scheme schemes[] = {
-        Scheme::Duplication,     Scheme::Gpupd,
-        Scheme::GpupdIdeal,      Scheme::Chopin,
-        Scheme::ChopinCompSched, Scheme::ChopinIdeal,
-    };
-    std::vector<FrameResult> results;
-    results.reserve(std::size(schemes));
-    for (Scheme s : schemes)
-        results.push_back(runScheme(s, cfg, trace));
-    return results;
-}
-
 double
 speedupOver(const FrameResult &baseline, const FrameResult &result)
 {
-    chopin_assert(result.cycles > 0);
+    CHOPIN_CHECK(result.cycles > 0);
     return static_cast<double>(baseline.cycles) /
            static_cast<double>(result.cycles);
-}
-
-std::vector<SequenceResult>
-runStreamComparison(const SystemConfig &cfg, const SequenceTrace &seq,
-                    unsigned hybrid_groups, Scheme intra_scheme)
-{
-    static const SequenceScheme schemes[] = {
-        SequenceScheme::PureSfr,
-        SequenceScheme::PureAfr,
-        SequenceScheme::HybridAfrSfr,
-    };
-    std::vector<SequenceResult> results;
-    results.reserve(std::size(schemes));
-    for (SequenceScheme s : schemes) {
-        SequenceOptions opt;
-        opt.scheme = s;
-        opt.intra_scheme = intra_scheme;
-        opt.afr_groups = hybrid_groups;
-        results.push_back(runSequence(opt, cfg, seq));
-    }
-    return results;
 }
 
 } // namespace chopin

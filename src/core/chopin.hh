@@ -22,7 +22,8 @@
  *  - comp/:  image-composition operators
  *  - gpu/:   the per-GPU timing model
  *  - net/:   the inter-GPU interconnect model
- *  - sfr/:   the SFR schemes (duplication, GPUpd, CHOPIN) and schedulers
+ *  - sfr/:   the SFR schemes (duplication, GPUpd, CHOPIN) and schedulers,
+ *            plus frame streams (runSequence: pure SFR, pure AFR, hybrid)
  */
 
 #ifndef CHOPIN_CORE_CHOPIN_HH
@@ -30,7 +31,6 @@
 
 #include "comp/operators.hh"
 #include "gfx/renderer.hh"
-#include "sfr/afr.hh"
 #include "sfr/comp_scheduler.hh"
 #include "sfr/config.hh"
 #include "sfr/grouping.hh"
@@ -49,29 +49,8 @@ namespace chopin
 inline constexpr int versionMajor = 1;
 inline constexpr int versionMinor = 0;
 
-/**
- * Run every scheme of the paper's main comparison (Fig. 13) on one trace.
- * Results are ordered: Duplication, GPUpd, IdealGPUpd, CHOPIN,
- * CHOPIN+CompSched, IdealCHOPIN.
- */
-std::vector<FrameResult> runMainComparison(const SystemConfig &cfg,
-                                           const FrameTrace &trace);
-
 /** Speedup of @p result over @p baseline (frame cycles ratio). */
 double speedupOver(const FrameResult &baseline, const FrameResult &result);
-
-/**
- * Run the Section VI-H stream comparison on one sequence: pure SFR, pure
- * AFR and the AFR+SFR hybrid (at @p hybrid_groups groups), all with
- * @p intra_scheme inside multi-GPU groups. Results are ordered PureSfr,
- * PureAfr, HybridAfrSfr — latency falls and micro-stutter rises along
- * that ordering on throughput-bound streams, which is the paper's
- * latency/throughput/consistency trade-off in one table.
- */
-std::vector<SequenceResult> runStreamComparison(
-    const SystemConfig &cfg, const SequenceTrace &seq,
-    unsigned hybrid_groups = 2,
-    Scheme intra_scheme = Scheme::ChopinCompSched);
 
 } // namespace chopin
 

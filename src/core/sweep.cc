@@ -24,10 +24,6 @@ resultCacheVersion()
     fp.u64(resultSchemaVersion);
     fp.u64(metricSchemaFingerprint<FrameAccounting>());
     fp.u64(metricSchemaFingerprint<DrawTiming>());
-    // Sequence results are memoized under keys derived from this version
-    // too (sequenceScenarioFingerprint), so a stream-metric change evicts
-    // them exactly like a frame-metric change evicts frame entries.
-    fp.u64(metricSchemaFingerprint<SequenceAccounting>());
     return static_cast<std::uint32_t>(fp.value());
 }
 
@@ -40,21 +36,6 @@ scenarioFingerprint(Scheme scheme, std::uint64_t trace_fp,
     fp.u64(cache_version);
     fp.u64(static_cast<std::uint64_t>(scheme));
     fp.u64(trace_fp);
-    fp.u64(cfg.fingerprint());
-    return fp.value();
-}
-
-std::uint64_t
-sequenceScenarioFingerprint(const SequenceOptions &opt,
-                            std::uint64_t sequence_fp,
-                            const SystemConfig &cfg,
-                            std::uint32_t cache_version)
-{
-    Fingerprinter fp;
-    fp.str("SequenceScenario/v1");
-    fp.u64(cache_version);
-    fp.u64(opt.fingerprint());
-    fp.u64(sequence_fp);
     fp.u64(cfg.fingerprint());
     return fp.value();
 }
@@ -367,34 +348,6 @@ SweepRunner::runKeyed(const Scenario &s, std::uint64_t key)
         counters.stored += 1;
     }
     return *res;
-}
-
-const SequenceResult &
-SweepRunner::runStream(const SequenceOptions &opt, const SequenceTrace &seq,
-                       const SystemConfig &cfg)
-{
-    std::uint64_t key = sequenceScenarioFingerprint(
-        opt, sequenceFingerprint(seq), cfg, opts.cache_version);
-    {
-        LockGuard lk(m);
-        auto it = seq_results.find(key);
-        if (it != seq_results.end()) {
-            counters.memo_hits += 1;
-            return it->second;
-        }
-    }
-    // runSequence() manages its own frame-level parallelism on the global
-    // pool and is bit-deterministic at any job count, so a concurrent
-    // duplicate computation yields an identical value and emplace keeps
-    // whichever landed first.
-    SequenceResult computed = runSequence(opt, cfg, seq);
-    LockGuard lk(m);
-    auto [it, inserted] = seq_results.emplace(key, std::move(computed));
-    if (inserted)
-        counters.computed += 1;
-    else
-        counters.memo_hits += 1;
-    return it->second;
 }
 
 void

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "sfr/schemes.hh"
-#include "sfr/sequence.hh"
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
 #include "util/thread_annotations.hh"
@@ -118,17 +117,6 @@ struct SweepStats
 std::uint64_t scenarioFingerprint(Scheme scheme, std::uint64_t trace_fp,
                                   const SystemConfig &cfg,
                                   std::uint32_t cache_version);
-
-/**
- * The combined cache key of one *sequence* scenario: schema version +
- * every SequenceOptions field + sequenceFingerprint() (the base trace
- * plus every per-frame key and coherence knob) + exhaustive config
- * fingerprint. Keys runStream() memoization.
- */
-std::uint64_t sequenceScenarioFingerprint(const SequenceOptions &opt,
-                                          std::uint64_t sequence_fp,
-                                          const SystemConfig &cfg,
-                                          std::uint32_t cache_version);
 
 /** Outcome of a cache probe. */
 enum class CacheLoad
@@ -203,18 +191,6 @@ class SweepRunner
     }
 
     /**
-     * Run (or reuse) one sequence scenario; memoized in-process by
-     * sequenceScenarioFingerprint() — so a sweep revisiting the same
-     * (options, sequence, config) cell pays one simulation. Sequence
-     * results are not persisted to the on-disk cache (it stays
-     * frame-granular); the memo shares cache_version, so a metric-schema
-     * change invalidates stream keys exactly like frame keys.
-     */
-    const SequenceResult &runStream(const SequenceOptions &opt,
-                                    const SequenceTrace &seq,
-                                    const SystemConfig &cfg);
-
-    /**
      * Enqueue and execute a whole grid before the first read: generates
      * each distinct trace once, deduplicates scenarios by fingerprint, and
      * executes the remainder concurrently on the runner's scenario pool
@@ -249,8 +225,6 @@ class SweepRunner
     mutable Mutex m;
     std::map<std::string, TraceEntry> traces CHOPIN_GUARDED_BY(m);
     std::map<std::uint64_t, FrameResult> results CHOPIN_GUARDED_BY(m);
-    std::map<std::uint64_t, SequenceResult> seq_results
-        CHOPIN_GUARDED_BY(m);
     SweepStats counters CHOPIN_GUARDED_BY(m);
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "util/log.hh"
+#include "util/check.hh"
 #include "util/thread_pool.hh"
 
 namespace chopin
@@ -258,10 +258,10 @@ renderDraw(Surface &surface, const Viewport &vp, const DrawInput &in,
            const RenderFilter &filter, std::vector<std::uint8_t> *touched_tiles,
            const TileGrid *grid)
 {
-    chopin_assert(surface.width() == vp.width &&
-                  surface.height() == vp.height);
-    chopin_assert(touched_tiles == nullptr || grid != nullptr,
-                  "touched-tile tracking needs a tile grid");
+    CHOPIN_CHECK(surface.width() == vp.width &&
+                 surface.height() == vp.height);
+    CHOPIN_CHECK(touched_tiles == nullptr || grid != nullptr,
+                 "touched-tile tracking needs a tile grid");
 
     RenderScratch &scratch = threadRenderScratch();
     scratch.beginDraw();
@@ -294,7 +294,7 @@ renderDrawPartitioned(Surface &target, const Viewport &vp,
                       GeometryCharging charging,
                       std::vector<std::uint8_t> *touched_tiles)
 {
-    chopin_assert(target.width() == vp.width && target.height() == vp.height);
+    CHOPIN_CHECK(target.width() == vp.width && target.height() == vp.height);
 
     unsigned n = grid.numGpus();
     PartitionedDraw out;

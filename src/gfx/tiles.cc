@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
@@ -12,7 +12,7 @@ TileGrid::TileGrid(int width, int height, unsigned num_gpus, int tile_size,
     : w(width), h(height), tile(tile_size), gpus(num_gpus),
       policy(assignment)
 {
-    chopin_assert(width > 0 && height > 0 && num_gpus > 0 && tile_size > 0);
+    CHOPIN_CHECK(width > 0 && height > 0 && num_gpus > 0 && tile_size > 0);
     tx = (width + tile - 1) / tile;
     ty = (height + tile - 1) / tile;
 }

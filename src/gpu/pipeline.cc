@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
@@ -97,7 +97,7 @@ GpuPipeline::claimGeometry(DrawId id, const DrawStats &stats,
         geomTrisDone += batch_tris;
         geomProgress.emplace_back(prev_geom_done, geomTrisDone);
     }
-    chopin_assert(tris_emitted == tris);
+    CHOPIN_CHECK(tris_emitted == tris);
 
     trisSubmitted += tris;
     p.record.geom_done = prev_geom_done;

@@ -86,16 +86,6 @@ Interconnect::setTracer(Tracer *t)
             t->track("gpu" + std::to_string(g) + ".egress"));
 }
 
-void
-Interconnect::blockIngressUntil(GpuId gpu, Tick until)
-{
-    seq.assertHeld("Interconnect::blockIngressUntil");
-    CHOPIN_ASSERT(gpu < gpus);
-    Resource &in = ingress[gpu];
-    if (in.freeAt() < until)
-        in.claim(in.freeAt(), until - in.freeAt());
-}
-
 Bytes
 Interconnect::linkBytes(GpuId src, GpuId dst) const
 {

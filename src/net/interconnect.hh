@@ -6,8 +6,8 @@
  * point-to-point, NVLink/DGX style: one unidirectional link per ordered GPU
  * pair, 64 GB/s and 200 cycles by default (Table II). Each GPU additionally
  * has a single serialized egress port and a single serialized ingress port,
- * so (a) a GPU streams one outgoing message at a time, and (b) a busy or
- * still-rendering destination back-pressures senders. That port
+ * so (a) a GPU streams one outgoing message at a time, and (b) a busy
+ * destination back-pressures senders. That port
  * serialization — not any tuned constant — is what produces the head-of-line
  * blocking that makes naive direct-send composition congest and gives
  * CHOPIN's image-composition scheduler something to fix.
@@ -140,12 +140,6 @@ class Interconnect
      */
     Tick transfer(GpuId src, GpuId dst, Bytes bytes, Tick earliest,
                   TrafficClass cls);
-
-    /**
-     * Reserve GPU @p gpu's ingress port until @p until: the GPU cannot
-     * service incoming composition messages while it is still rendering.
-     */
-    void blockIngressUntil(GpuId gpu, Tick until);
 
     /** Time the egress port of @p gpu is next free. */
     Tick

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "sim/resource.hh"
-#include "util/log.hh"
+#include "util/check.hh"
 #include "util/sequential.hh"
 
 namespace chopin
@@ -119,8 +119,8 @@ composeOpaqueDirectSend(const CompositionJob &job, Interconnect &net,
 
     // Senders start the moment they finish, walking destinations in fixed
     // order (src+1, src+2, ...) with no regard for readiness: a
-    // still-rendering destination blocks the head of the sender's queue
-    // and everything behind it (the paper's congestion scenario).
+    // destination whose ingress is busy blocks the head of the sender's
+    // queue and everything behind it (the paper's congestion scenario).
     // Process senders in ready order so port arbitration is time-consistent.
     std::vector<GpuId> order(n);
     std::iota(order.begin(), order.end(), 0);
@@ -253,9 +253,9 @@ composeOpaqueScheduled(const CompositionJob &job, Interconnect &net,
     eq.run();
 
     for (GpuId g = 0; g < n; ++g)
-        chopin_assert(fully_done(g),
-                      "composition scheduler finished with GPU ", g,
-                      " not fully composed");
+        CHOPIN_CHECK(fully_done(g),
+                     "composition scheduler finished with GPU ", g,
+                     " not fully composed");
     out.end = *std::max_element(out.gpu_done.begin(), out.gpu_done.end());
     traceComposition(job, net, "scheduled", out);
     return out;

@@ -8,9 +8,9 @@
  * GPU (each receives the pixels that fall into its owned screen tiles).
  *  - Naive direct-send: when a GPU finishes rendering it streams its regions
  *    to destinations in fixed ascending order, whether or not they can
- *    accept; still-rendering destinations back-pressure the sender's egress
- *    port (head-of-line blocking), which is the congestion the paper
- *    describes.
+ *    accept; a destination whose ingress port is busy back-pressures the
+ *    sender's egress port (head-of-line blocking), which is the congestion
+ *    the paper describes.
  *  - Scheduled: a centralized scheduler pairs GPUs that are (1) ready,
  *    (2) not currently exchanging, and (3) have not yet composed with each
  *    other; paired GPUs exchange their two regions concurrently over the

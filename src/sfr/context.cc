@@ -6,7 +6,6 @@
 
 #include "gfx/renderer.hh"
 #include "util/check.hh"
-#include "util/log.hh"
 
 namespace chopin
 {
@@ -57,7 +56,7 @@ SimContext::maxPipeFinish() const
 Tick
 SimContext::syncBroadcast(std::uint32_t rt, Tick now)
 {
-    chopin_assert(rt < rts.size());
+    CHOPIN_CHECK(rt < rts.size());
     if (cfg.num_gpus == 1 || rt == 0) {
         // The back buffer (render target 0) is scanned out, never sampled
         // mid-frame; only intermediate render targets (shadow maps, bloom
@@ -125,12 +124,12 @@ SimContext::drawInput(const DrawCommand &cmd) const
     in.alpha_ref = cmd.alpha_ref;
     in.backface_cull = cmd.backface_cull;
     if (cmd.texture_rt >= 0) {
-        chopin_assert(static_cast<std::size_t>(cmd.texture_rt) < rts.size(),
-                      "draw ", cmd.id, " samples nonexistent render target ",
-                      cmd.texture_rt);
-        chopin_assert(static_cast<std::uint32_t>(cmd.texture_rt) !=
-                          cmd.state.render_target,
-                      "draw ", cmd.id, " samples its own render target");
+        CHOPIN_CHECK(static_cast<std::size_t>(cmd.texture_rt) < rts.size(),
+                     "draw ", cmd.id, " samples nonexistent render target ",
+                     cmd.texture_rt);
+        CHOPIN_CHECK(static_cast<std::uint32_t>(cmd.texture_rt) !=
+                         cmd.state.render_target,
+                     "draw ", cmd.id, " samples its own render target");
         in.texture = &rts[static_cast<std::size_t>(cmd.texture_rt)].color();
     }
     return in;
@@ -153,8 +152,8 @@ SimContext::finish(Scheme scheme, Tick end, Image *image)
     // Schemes only ever account the four overhead categories; everything
     // else is normal pipeline work, so breakdown.total() is the accounted
     // overhead here (normal_pipeline is still zero).
-    chopin_assert(breakdown.normal_pipeline == 0,
-                  "normal_pipeline is derived, not accounted by schemes");
+    CHOPIN_CHECK(breakdown.normal_pipeline == 0,
+                 "normal_pipeline is derived, not accounted by schemes");
     Tick accounted = breakdown.total();
     r.breakdown.normal_pipeline = end > accounted ? end - accounted : 0;
     r.traffic = net.traffic();

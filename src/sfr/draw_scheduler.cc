@@ -1,6 +1,6 @@
 #include "sfr/draw_scheduler.hh"
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
@@ -12,7 +12,7 @@ DrawCommandScheduler::DrawCommandScheduler(
       updateTris(std::max<std::uint64_t>(1, update_tris)),
       scheduledTris(gpu_pipes.size(), 0), lastReported(gpu_pipes.size(), 0)
 {
-    chopin_assert(!pipes.empty());
+    CHOPIN_CHECK(!pipes.empty());
 }
 
 std::uint64_t

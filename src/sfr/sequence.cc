@@ -39,28 +39,16 @@ SequenceOptions::resolvedGroups(unsigned num_gpus) const
     panic("unknown SequenceScheme ", static_cast<int>(scheme));
 }
 
-std::uint64_t
-SequenceOptions::fingerprint() const
-{
-    Fingerprinter fp;
-    fp.str("SequenceOptions/v1");
-    fp.u64(static_cast<std::uint64_t>(scheme));
-    fp.u64(static_cast<std::uint64_t>(intra_scheme));
-    fp.u64(afr_groups);
-    fp.boolean(carry_over);
-    return fp.value();
-}
-
 SequenceResult
 runSequence(const SequenceOptions &opt, const SystemConfig &cfg,
             const SequenceTrace &seq, Tracer *tracer)
 {
     const std::size_t n = seq.frameCount();
-    chopin_assert(n >= 1, "a sequence run needs at least one frame");
+    CHOPIN_CHECK(n >= 1, "a sequence run needs at least one frame");
     unsigned groups = opt.resolvedGroups(cfg.num_gpus);
-    chopin_assert(groups >= 1 && cfg.num_gpus % groups == 0,
-                  "GPU count ", cfg.num_gpus, " is not divisible into ",
-                  groups, " AFR groups");
+    CHOPIN_CHECK(groups >= 1 && cfg.num_gpus % groups == 0,
+                 "GPU count ", cfg.num_gpus, " is not divisible into ",
+                 groups, " AFR groups");
 
     SequenceResult result;
     result.scheme = opt.scheme;
@@ -101,10 +89,10 @@ runSequence(const SequenceOptions &opt, const SystemConfig &cfg,
         });
     }
 
-    // Stream scheduling: frame i pipelines onto group i % groups; with
-    // carry-over the group frees once the frame's composition/sync tail
-    // is all that remains.
-    FramePipeline pipe(groups);
+    // Stream scheduling: frame i pipelines onto group i % groups, which
+    // renders its frames back to back; with carry-over the group frees
+    // once the frame's composition/sync tail is all that remains.
+    std::vector<Tick> group_free(groups, 0);
     result.frame_start.reserve(n);
     result.frame_complete.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -112,11 +100,13 @@ runSequence(const SequenceOptions &opt, const SystemConfig &cfg,
         Tick tail = opt.carry_over
                         ? r.breakdown.composition + r.breakdown.sync
                         : 0;
-        FramePipeline::Slot slot = pipe.schedule(
-            static_cast<unsigned>(i % groups), r.cycles, tail);
-        result.frame_start.push_back(slot.start);
-        result.frame_complete.push_back(slot.complete);
-        result.makespan = std::max(result.makespan, slot.complete);
+        Tick &free_at = group_free[i % groups];
+        Tick start = free_at;
+        Tick complete = start + r.cycles;
+        free_at = complete - std::min(tail, r.cycles);
+        result.frame_start.push_back(start);
+        result.frame_complete.push_back(complete);
+        result.makespan = std::max(result.makespan, complete);
     }
 
     // Stream metrics over the completion timeline.

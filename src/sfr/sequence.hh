@@ -60,9 +60,6 @@ struct SequenceOptions
 
     /** Group count this scheme resolves to on a @p num_gpus system. */
     unsigned resolvedGroups(unsigned num_gpus) const;
-
-    /** Canonical fingerprint over every field (sweep cache key half). */
-    std::uint64_t fingerprint() const;
 };
 
 /**
@@ -126,36 +123,6 @@ struct SequenceResult : SequenceAccounting
     /** Absolute start/completion tick of each frame on its group. */
     std::vector<Tick> frame_start;
     std::vector<Tick> frame_complete;
-};
-
-/**
- * Per-group frame-pipelining bookkeeping shared by runAfr() and
- * runSequence(): each group renders its frames back to back; with a
- * non-zero @p tail the group frees early by min(tail, cycles) cycles
- * (carry-over), so the successor starts while the tail drains.
- */
-class FramePipeline
-{
-  public:
-    struct Slot
-    {
-        Tick start = 0;
-        Tick complete = 0;
-    };
-
-    explicit FramePipeline(unsigned groups) : free_(groups, 0) {}
-
-    Slot
-    schedule(unsigned group, Tick cycles, Tick tail = 0)
-    {
-        Tick start = free_[group];
-        Tick complete = start + cycles;
-        free_[group] = complete - std::min(tail, cycles);
-        return {start, complete};
-    }
-
-  private:
-    std::vector<Tick> free_;
 };
 
 /**

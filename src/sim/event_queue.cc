@@ -1,5 +1,8 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/check.hh"
 
 namespace chopin
@@ -12,21 +15,18 @@ EventQueue::schedule(Tick when, Callback cb)
     CHOPIN_ASSERT(when >= currentTick,
                   "event scheduled into the past: ", when, " < ", currentTick);
     CHOPIN_ASSERT(static_cast<bool>(cb), "null callback scheduled at ", when);
-    events.push(when, nextSeq++, std::move(cb));
+    heap.push_back(Event{when, nextSeq++, std::move(cb)});
+    std::push_heap(heap.begin(), heap.end(), Later{});
 }
 
 Tick
 EventQueue::run()
 {
-    return runUntil(kTickMax);
-}
-
-Tick
-EventQueue::runUntil(Tick limit)
-{
-    seq.assertHeld("EventQueue::runUntil");
-    while (!events.empty() && events.nextWhen() <= limit) {
-        EventHeap<Callback>::Entry e = events.pop();
+    seq.assertHeld("EventQueue::run");
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), Later{});
+        Event e = std::move(heap.back());
+        heap.pop_back();
         // Simulated time is monotone: the heap can never surface an event
         // earlier than one already executed.
         CHOPIN_ASSERT(e.when >= currentTick, "time ran backwards: ", e.when,
@@ -35,15 +35,6 @@ EventQueue::runUntil(Tick limit)
         e.cb();
     }
     return currentTick;
-}
-
-void
-EventQueue::reset()
-{
-    seq.assertHeld("EventQueue::reset");
-    events.clear();
-    currentTick = 0;
-    nextSeq = 0;
 }
 
 } // namespace chopin

@@ -2,20 +2,20 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The CHOPIN timing model is event-driven at draw-batch / network-message
- * granularity: every hardware activity schedules a callback at an absolute
- * Tick. Events scheduled for the same Tick fire in insertion order
- * (deterministic FIFO tie-break), which the multi-GPU schedulers rely on for
- * reproducibility.
+ * The composition scheduler's pairwise ready-matching (sfr/comp_scheduler)
+ * runs on this queue: every GPU-ready and session-end activity schedules a
+ * callback at an absolute Tick. Events scheduled for the same Tick fire in
+ * insertion order (deterministic FIFO tie-break), which the scheduler
+ * relies on for reproducibility.
  */
 
 #ifndef CHOPIN_SIM_EVENT_QUEUE_HH
 #define CHOPIN_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
-#include "sim/event_heap.hh"
-#include "util/inline_function.hh"
 #include "util/sequential.hh"
 #include "util/types.hh"
 
@@ -34,9 +34,7 @@ namespace chopin
 class EventQueue
 {
   public:
-    /** Small-buffer-optimized: typical event captures store inline, so the
-     *  hot schedule/run loop performs no per-event heap allocation. */
-    using Callback = InlineFunction;
+    using Callback = std::function<void()>;
 
     /** Current simulated time. */
     Tick
@@ -52,28 +50,12 @@ class EventQueue
      */
     void schedule(Tick when, Callback cb);
 
-    /** Schedule @p cb to run @p delay ticks from now. */
-    void
-    scheduleAfter(Tick delay, Callback cb)
-    {
-        seq.assertHeld("EventQueue::scheduleAfter");
-        schedule(currentTick + delay, std::move(cb));
-    }
-
-    /** Number of events not yet executed. */
-    std::size_t
-    pending() const
-    {
-        seq.assertHeld("EventQueue::pending");
-        return events.size();
-    }
-
     /** Pre-size the event storage for a known event count. */
     void
     reserve(std::size_t n)
     {
         seq.assertHeld("EventQueue::reserve");
-        events.reserve(n);
+        heap.reserve(n);
     }
 
     /**
@@ -82,16 +64,29 @@ class EventQueue
      */
     Tick run();
 
-    /** Run until now() would exceed @p limit; remaining events stay queued. */
-    Tick runUntil(Tick limit);
-
-    /** Drop all pending events and reset time to zero. */
-    void reset();
-
   private:
+    struct Event
+    {
+        Tick when;
+        std::uint64_t seq; ///< insertion order for same-tick determinism
+        Callback cb;
+    };
+
+    /** Heap order: the root is the earliest (when, seq). */
+    struct Later
+    {
+        bool
+        operator()(const Event &a, const Event &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
     SequentialCap seq; ///< coordinator ownership; guards all state below
 
-    EventHeap<Callback> events CHOPIN_GUARDED_BY(seq);
+    std::vector<Event> heap CHOPIN_GUARDED_BY(seq);
     Tick currentTick CHOPIN_GUARDED_BY(seq) = 0;
     std::uint64_t nextSeq CHOPIN_GUARDED_BY(seq) = 0;
 };

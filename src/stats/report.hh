@@ -8,10 +8,6 @@
  * (BENCH_frame.json, BENCH_sweep.json, per-run stat dumps). Bench binaries
  * must not hand-roll `std::cout << counter` stats output — a lint rule
  * (bench-stats-print) enforces it — so formats can only drift in one place.
- *
- * writeMetricsJson() bridges the metric registry (stats/metrics.hh) into
- * JSON: every registered metric of a struct becomes one key in an object,
- * in registration order, integers emitted exactly.
  */
 
 #ifndef CHOPIN_STATS_REPORT_HH
@@ -21,9 +17,8 @@
 #include <ostream>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "stats/metrics.hh"
 
 namespace chopin
 {
@@ -182,26 +177,6 @@ class JsonWriter
     std::vector<State> stack;
     bool have_key = false;
 };
-
-/**
- * Emit every registered metric of @p t as one JSON object keyed by metric
- * name, in registration order. Doubles round-trip via the stream's default
- * formatting; integer metrics are exact.
- */
-template <typename T>
-void
-writeMetricsJson(JsonWriter &w, const T &t)
-{
-    w.beginObject();
-    for (const MetricSample &s : collectMetrics(t)) {
-        w.key(s.name);
-        if (s.is_double)
-            w.value(s.real());
-        else
-            w.value(s.bits);
-    }
-    w.endObject();
-}
 
 } // namespace chopin
 

@@ -5,22 +5,22 @@
 #include <cstdio>
 #include <ostream>
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
 
 TextTable::TextTable(std::vector<std::string> header) : head(std::move(header))
 {
-    chopin_assert(!head.empty());
+    CHOPIN_CHECK(!head.empty());
 }
 
 void
 TextTable::addRow(std::vector<std::string> row)
 {
     seq.assertHeld("TextTable::addRow");
-    chopin_assert(row.size() == head.size(), "row width ", row.size(),
-                  " != header width ", head.size());
+    CHOPIN_CHECK(row.size() == head.size(), "row width ", row.size(),
+                 " != header width ", head.size());
     body.push_back(std::move(row));
 }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/log.hh"
+#include "util/check.hh"
 #include "util/rng.hh"
 
 namespace chopin
@@ -133,9 +133,9 @@ apportion(std::uint64_t total, const std::vector<double> &weights,
           std::uint64_t min_each)
 {
     std::size_t n = weights.size();
-    chopin_assert(n > 0);
-    chopin_assert(total >= min_each * n, "cannot apportion ", total,
-                  " triangles over ", n, " draws with minimum ", min_each);
+    CHOPIN_CHECK(n > 0);
+    CHOPIN_CHECK(total >= min_each * n, "cannot apportion ", total,
+                 " triangles over ", n, " draws with minimum ", min_each);
 
     double wsum = std::accumulate(weights.begin(), weights.end(), 0.0);
     std::uint64_t budget = total - min_each * n;
@@ -167,7 +167,7 @@ apportion(std::uint64_t total, const std::vector<double> &weights,
 FrameTrace
 generateTrace(const BenchmarkProfile &p)
 {
-    chopin_assert(p.num_draws >= 16, "profile needs at least 16 draws");
+    CHOPIN_CHECK(p.num_draws >= 16, "profile needs at least 16 draws");
     Rng rng(p.seed);
 
     // ---- 1. Partition the draw budget over draw kinds. -------------------
@@ -186,8 +186,8 @@ generateTrace(const BenchmarkProfile &p)
     int n_rt = p.rt_passes * (rt_block + 1);
     int n_obj =
         p.num_draws - n_bg - n_trans - n_part - n_ro - n_fc - n_rt - n_st;
-    chopin_assert(n_obj > 8, "profile '", p.name,
-                  "' leaves too few object draws: ", n_obj);
+    CHOPIN_CHECK(n_obj > 8, "profile '", p.name,
+                 "' leaves too few object draws: ", n_obj);
 
     // ---- 2. Lay out the frame as an ordered list of draw plans. ----------
     std::vector<DrawPlan> plan;
@@ -371,9 +371,9 @@ generateTrace(const BenchmarkProfile &p)
         plan.push_back(d);
     }
 
-    chopin_assert(plan.size() == static_cast<std::size_t>(p.num_draws),
-                  "frame plan has ", plan.size(), " draws, expected ",
-                  p.num_draws);
+    CHOPIN_CHECK(plan.size() == static_cast<std::size_t>(p.num_draws),
+                 "frame plan has ", plan.size(), " draws, expected ",
+                 p.num_draws);
 
     // ---- 3. Apportion the triangle budget. --------------------------------
     std::vector<double> weights(plan.size());
@@ -510,9 +510,9 @@ generateTrace(const BenchmarkProfile &p)
         trace.draws.push_back(std::move(cmd));
     }
 
-    chopin_assert(trace.totalTriangles() == p.num_triangles,
-                  "generated ", trace.totalTriangles(),
-                  " triangles, expected ", p.num_triangles);
+    CHOPIN_CHECK(trace.totalTriangles() == p.num_triangles,
+                 "generated ", trace.totalTriangles(),
+                 " triangles, expected ", p.num_triangles);
     return trace;
 }
 
@@ -528,10 +528,10 @@ generateBenchmark(const std::string &name, int scale_divisor)
 SequenceTrace
 generateSequence(const BenchmarkProfile &p, const SequenceParams &params)
 {
-    chopin_assert(params.num_frames >= 1,
-                  "a sequence needs at least one frame");
-    chopin_assert(params.knobs.camera_hold >= 1,
-                  "camera_hold must be >= 1");
+    CHOPIN_CHECK(params.num_frames >= 1,
+                 "a sequence needs at least one frame");
+    CHOPIN_CHECK(params.knobs.camera_hold >= 1,
+                 "camera_hold must be >= 1");
 
     SequenceTrace seq;
     seq.base = generateTrace(p);

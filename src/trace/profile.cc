@@ -154,7 +154,7 @@ benchmarkProfile(const std::string &name)
 BenchmarkProfile
 scaleProfile(const BenchmarkProfile &p, int divisor)
 {
-    chopin_assert(divisor >= 1);
+    CHOPIN_CHECK(divisor >= 1);
     BenchmarkProfile s = p;
     s.num_draws = std::max(64, p.num_draws / divisor);
     s.num_triangles = std::max<std::uint64_t>(

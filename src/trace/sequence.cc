@@ -42,8 +42,8 @@ holdsBase(const FrameTrace &scratch, const FrameTrace &base)
 void
 SequenceTrace::materializeFrame(std::size_t index, FrameTrace &scratch) const
 {
-    chopin_assert(index < frames.size(), "frame index ", index,
-                  " out of range (sequence has ", frames.size(), " frames)");
+    CHOPIN_CHECK(index < frames.size(), "frame index ", index,
+                 " out of range (sequence has ", frames.size(), " frames)");
     // One full copy (including the triangle storage) on first use; every
     // later frame only swaps matrices on the shared geometry.
     if (!holdsBase(scratch, base))
@@ -54,10 +54,10 @@ SequenceTrace::materializeFrame(std::size_t index, FrameTrace &scratch) const
     for (std::size_t i = 0; i < base.draws.size(); ++i)
         scratch.draws[i].model = base.draws[i].model;
     for (const auto &[draw, model] : key.transforms) {
-        chopin_assert(draw < scratch.draws.size(),
-                      "frame key overrides draw ", draw,
-                      " but the base has only ", scratch.draws.size(),
-                      " draws");
+        CHOPIN_CHECK(draw < scratch.draws.size(),
+                     "frame key overrides draw ", draw,
+                     " but the base has only ", scratch.draws.size(),
+                     " draws");
         scratch.draws[draw].model = model;
     }
 }

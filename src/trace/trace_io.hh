@@ -70,7 +70,8 @@ std::uint64_t traceFingerprint(const FrameTrace &trace);
  * Canonical content fingerprint of a sequence: the base trace fingerprint
  * plus the camera path, every coherence knob, the frame count, and every
  * per-frame key (camera matrix and each model-matrix override, in order).
- * The sequence half of the sweep cache key for runSequence() results.
+ * Two sequences fingerprint equal iff runSequence() on them is guaranteed
+ * to produce identical results, whichever trace version they loaded from.
  */
 std::uint64_t sequenceFingerprint(const SequenceTrace &seq);
 

@@ -1,6 +1,7 @@
 #include "util/cli.hh"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 
@@ -125,9 +126,16 @@ void
 checkWritablePath(const std::string &path, const char *flag)
 {
     CHOPIN_CHECK(!path.empty(), flag, " must not be empty");
-    std::ofstream probe(path, std::ios::binary | std::ios::app);
-    CHOPIN_CHECK(probe.good(), "cannot open '", path, "' for writing (",
-                 flag, ")");
+    // Anything at the path, a dangling link included, is left as it is.
+    std::error_code ec;
+    const bool created = std::filesystem::symlink_status(path, ec).type() ==
+                         std::filesystem::file_type::not_found;
+    const bool writable =
+        std::ofstream(path, std::ios::binary | std::ios::app).good();
+    if (writable && created)
+        std::filesystem::remove(path, ec);
+    CHOPIN_CHECK(writable, "cannot open '", path, "' for writing (", flag,
+                 ")");
 }
 
 } // namespace chopin

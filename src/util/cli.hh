@@ -61,7 +61,8 @@ class CommandLine
 
 /**
  * Validate an output path *before* any expensive work: probe-open it for
- * appending (existing contents are untouched; a missing file is created).
+ * appending (existing contents are untouched; a missing file is created
+ * and removed again, so a run that fails later leaves nothing behind).
  * Failure goes through the check layer, so a tool that installed
  * setCliCheckTool() prints "<tool>: error: cannot write ..." and exits 2
  * up front instead of simulating for minutes and then failing to save.

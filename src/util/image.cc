@@ -11,7 +11,7 @@ Image::Image(int w, int h, const Color &fill)
     : _width(w), _height(h),
       pixels(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), fill)
 {
-    chopin_assert(w >= 0 && h >= 0);
+    CHOPIN_CHECK(w >= 0 && h >= 0);
 }
 
 Image::Image(Image &&other) noexcept

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "util/check.hh"
 #include "util/color.hh"
-#include "util/log.hh"
 
 namespace chopin
 {
@@ -54,8 +54,8 @@ class Image
     std::size_t
     index(int x, int y) const
     {
-        chopin_assert(x >= 0 && x < _width && y >= 0 && y < _height,
-                      "pixel (", x, ",", y, ") out of ", _width, "x", _height);
+        CHOPIN_CHECK(x >= 0 && x < _width && y >= 0 && y < _height,
+                     "pixel (", x, ",", y, ") out of ", _width, "x", _height);
         return static_cast<std::size_t>(y) * _width + x;
     }
 

@@ -89,10 +89,6 @@ panic(const Args &...args)
     detail::die("panic", os.str(), true);
 }
 
-/** Legacy spelling of CHOPIN_CHECK (always-on contract check); new code
- *  uses the util/check.hh macros directly. */
-#define chopin_assert(...) CHOPIN_CHECK(__VA_ARGS__)
-
 } // namespace chopin
 
 #endif // CHOPIN_UTIL_LOG_HH

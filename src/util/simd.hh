@@ -11,11 +11,11 @@
  *    always available. This is both the reference implementation the
  *    bit-equality tests compare against and the fallback every platform
  *    without (or forced off) vector units compiles;
- *  - `SseLanes` (4-wide, x86-64 baseline), `Avx2Lanes` (8-wide, only when
- *    the build enables AVX2), `NeonLanes` (4-wide, aarch64) — vendor
- *    intrinsics behind feature detection.
+ *  - `SseLanes` (4-wide, x86-64 baseline) and `NeonLanes` (4-wide,
+ *    aarch64) — vendor intrinsics behind feature detection. A build that
+ *    enables AVX2 still uses `SseLanes`.
  *
- * `NativeLanes` aliases the widest implementation the build supports, or
+ * `NativeLanes` aliases the implementation the build supports, or
  * `ScalarLanes<1>` when `CHOPIN_SIMD_FORCE_SCALAR` is defined (CMake
  * option `CHOPIN_FORCE_SCALAR`, the CI leg that keeps the fallback green).
  *
@@ -43,10 +43,7 @@
 #include <utility>
 
 #if !defined(CHOPIN_SIMD_FORCE_SCALAR)
-#if defined(__AVX2__)
-#define CHOPIN_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
+#if defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
 #define CHOPIN_SIMD_SSE2 1
 #include <emmintrin.h>
 #elif defined(__aarch64__) && defined(__ARM_NEON)
@@ -60,7 +57,8 @@ namespace chopin
 namespace simd
 {
 
-/** Widest lane count any backend uses (AVX2); sizes fragment spans. */
+/** Widest lane count any lanes policy may use: sizes fragment spans, and
+ *  tests/gfx/raster_simd_test.cc sweeps `ScalarLanes<8>`. */
 inline constexpr int kMaxWidth = 8;
 
 /**
@@ -170,7 +168,7 @@ struct ScalarLanes
     }
 };
 
-#if defined(CHOPIN_SIMD_SSE2) || defined(CHOPIN_SIMD_AVX2)
+#if defined(CHOPIN_SIMD_SSE2)
 
 /** 4-wide SSE2 lanes (the x86-64 baseline — always available there). */
 struct SseLanes
@@ -210,52 +208,7 @@ struct SseLanes
     static void store(Float a, float *out) { _mm_storeu_ps(out, a); }
 };
 
-#endif // CHOPIN_SIMD_SSE2 || CHOPIN_SIMD_AVX2
-
-#if defined(CHOPIN_SIMD_AVX2)
-
-/** 8-wide AVX2 lanes (only when the build opts in via -mavx2/-march). */
-struct Avx2Lanes
-{
-    static constexpr int width = 8;
-    static constexpr const char *backend = "avx2";
-
-    using Float = __m256;
-    using Mask = std::uint32_t;
-
-    static constexpr Mask all = 0xFF;
-
-    static Float broadcast(float x) { return _mm256_set1_ps(x); }
-
-    static Float
-    fromIntBase(int base)
-    {
-        return _mm256_cvtepi32_ps(
-            _mm256_add_epi32(_mm256_set1_epi32(base),
-                             _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0)));
-    }
-
-    static Float add(Float a, Float b) { return _mm256_add_ps(a, b); }
-    static Float mul(Float a, Float b) { return _mm256_mul_ps(a, b); }
-
-    static Mask
-    cmpGt(Float a, Float b)
-    {
-        return static_cast<Mask>(
-            _mm256_movemask_ps(_mm256_cmp_ps(a, b, _CMP_GT_OQ)));
-    }
-
-    static Mask
-    cmpEq(Float a, Float b)
-    {
-        return static_cast<Mask>(
-            _mm256_movemask_ps(_mm256_cmp_ps(a, b, _CMP_EQ_OQ)));
-    }
-
-    static void store(Float a, float *out) { _mm256_storeu_ps(out, a); }
-};
-
-#endif // CHOPIN_SIMD_AVX2
+#endif // CHOPIN_SIMD_SSE2
 
 #if defined(CHOPIN_SIMD_NEON)
 
@@ -297,9 +250,7 @@ struct NeonLanes
 
 #endif // CHOPIN_SIMD_NEON
 
-#if defined(CHOPIN_SIMD_AVX2)
-using NativeLanes = Avx2Lanes;
-#elif defined(CHOPIN_SIMD_SSE2)
+#if defined(CHOPIN_SIMD_SSE2)
 using NativeLanes = SseLanes;
 #elif defined(CHOPIN_SIMD_NEON)
 using NativeLanes = NeonLanes;

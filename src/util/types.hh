@@ -26,8 +26,7 @@ using GroupId = std::uint32_t;
 /** Sentinel for "no GPU" / "unassigned". */
 inline constexpr GpuId invalidGpu = ~GpuId(0);
 
-/** Largest representable simulated time; "run forever" / "never" sentinel
- *  (EventQueue::run, EventHeap::nextWhen). */
+/** Largest representable simulated time; the "never" sentinel. */
 inline constexpr Tick kTickMax = ~Tick(0);
 
 /** Byte counts for traffic accounting. */

@@ -356,68 +356,5 @@ TEST(Sweep, DeterministicAcrossSweepJobsAndColdWarm)
     }
 }
 
-TEST(Sweep, StreamRunIsMemoizedBySequenceKey)
-{
-    SweepRunner runner(optionsWith(""));
-    SequenceParams params;
-    params.num_frames = 3;
-    SequenceTrace seq = generateBenchmarkSequence("ut3", kScale, params);
-    SequenceOptions opt;
-    opt.scheme = SequenceScheme::HybridAfrSfr;
-    opt.afr_groups = 2;
-
-    const SequenceResult &first = runner.runStream(opt, seq, smallConfig());
-    const SequenceResult &second =
-        runner.runStream(opt, seq, smallConfig());
-    EXPECT_EQ(&first, &second); // same node-stable entry, not a copy
-    EXPECT_EQ(first.num_frames, 3u);
-
-    SweepStats s = runner.stats();
-    EXPECT_EQ(s.computed, 1u);
-    EXPECT_EQ(s.memo_hits, 1u);
-
-    // A different stream schedule is a different scenario.
-    SequenceOptions other = opt;
-    other.scheme = SequenceScheme::PureAfr;
-    runner.runStream(other, seq, smallConfig());
-    EXPECT_EQ(runner.stats().computed, 2u);
-}
-
-TEST(Sweep, SequenceKeySeparatesEveryInput)
-{
-    SequenceParams params;
-    params.num_frames = 3;
-    SequenceTrace seq = generateBenchmarkSequence("ut3", kScale, params);
-    std::uint64_t seq_fp = sequenceFingerprint(seq);
-    SystemConfig cfg = smallConfig();
-    SequenceOptions opt;
-    const std::uint64_t key =
-        sequenceScenarioFingerprint(opt, seq_fp, cfg, 1);
-
-    { // options (scheme / groups / intra / carry-over all feed in)
-        SequenceOptions o = opt;
-        o.afr_groups += 2;
-        EXPECT_NE(sequenceScenarioFingerprint(o, seq_fp, cfg, 1), key);
-    }
-    { // sequence content: any perturbed v2 field moves the key, because
-      // sequenceFingerprint() covers it (tests/trace/sequence_io_test.cc
-      // walks each field) and the key folds the fingerprint verbatim.
-        SequenceTrace s = seq;
-        s.knobs.camera_step *= 2.0f;
-        EXPECT_NE(sequenceScenarioFingerprint(opt, sequenceFingerprint(s),
-                                              cfg, 1),
-                  key);
-    }
-    { // config
-        SystemConfig c = cfg;
-        c.group_threshold += 1;
-        EXPECT_NE(sequenceScenarioFingerprint(opt, seq_fp, c, 1), key);
-    }
-    { // cache version (resultCacheVersion() folds the stream metric
-      // schema, so a SequenceAccounting change flows through here)
-        EXPECT_NE(sequenceScenarioFingerprint(opt, seq_fp, cfg, 2), key);
-    }
-}
-
 } // namespace
 } // namespace chopin

@@ -18,15 +18,11 @@ TEST(Api, RunMainComparisonCoversFig13Schemes)
     SystemConfig cfg;
     cfg.num_gpus = 4;
     FrameTrace trace = generateBenchmark("wolf", 16);
-    std::vector<FrameResult> results = runMainComparison(cfg, trace);
-    ASSERT_EQ(results.size(), 6u);
-    EXPECT_EQ(results[0].scheme, Scheme::Duplication);
-    EXPECT_EQ(results[1].scheme, Scheme::Gpupd);
-    EXPECT_EQ(results[2].scheme, Scheme::GpupdIdeal);
-    EXPECT_EQ(results[3].scheme, Scheme::Chopin);
-    EXPECT_EQ(results[4].scheme, Scheme::ChopinCompSched);
-    EXPECT_EQ(results[5].scheme, Scheme::ChopinIdeal);
-    for (const FrameResult &r : results) {
+    for (Scheme scheme :
+         {Scheme::Duplication, Scheme::Gpupd, Scheme::GpupdIdeal,
+          Scheme::Chopin, Scheme::ChopinCompSched, Scheme::ChopinIdeal}) {
+        FrameResult r = runScheme(scheme, cfg, trace);
+        EXPECT_EQ(r.scheme, scheme);
         EXPECT_GT(r.cycles, 0u);
         EXPECT_EQ(r.num_gpus, 4u);
         EXPECT_NE(r.frame_hash, 0u); // results identify the frame by hash

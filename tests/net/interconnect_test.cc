@@ -57,21 +57,15 @@ TEST(Interconnect, FullDuplexPairExchange)
     EXPECT_EQ(ba, 100u); // opposite directions use separate links/ports
 }
 
-TEST(Interconnect, BlockedIngressDelaysDelivery)
-{
-    Interconnect net(2, {64.0, 0});
-    net.blockIngressUntil(1, 500); // GPU1 still rendering
-    Tick arrival = net.transfer(0, 1, 64, 0, TrafficClass::Composition);
-    EXPECT_EQ(arrival, 501u);
-}
-
 TEST(Interconnect, HeadOfLineBlockingThroughBusyReceiver)
 {
     Interconnect net(3, {64.0, 0});
-    net.blockIngressUntil(1, 1000);
-    // Sender 0 first targets blocked GPU1, then free GPU2: the second send
+    // GPU2 keeps GPU1's ingress busy until cycle 1000.
+    EXPECT_EQ(net.transfer(2, 1, 64000, 0, TrafficClass::Composition),
+              1000u);
+    // Sender 0 first targets busy GPU1, then free GPU2: the second send
     // is stuck behind the first on GPU0's egress port.
-    net.transfer(0, 1, 64, 0, TrafficClass::Composition);
+    EXPECT_EQ(net.transfer(0, 1, 64, 0, TrafficClass::Composition), 1001u);
     Tick second = net.transfer(0, 2, 64, 0, TrafficClass::Composition);
     EXPECT_GE(second, 1001u);
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sfr/sequence.hh"
 #include "stats/metrics.hh"
 #include "stats/tracer.hh"
@@ -178,30 +180,43 @@ TEST(Sequence, TracerGetsOneSpanPerFrame)
     EXPECT_EQ(tracer.spanCount(), 4u);
 }
 
-TEST(Sequence, OptionsFingerprintCoversEveryField)
+TEST(Sequence, PureSfrWithoutCarryOverSerializesFrames)
 {
-    SequenceOptions base;
-    const std::uint64_t fp = base.fingerprint();
-    {
-        SequenceOptions o = base;
-        o.scheme = SequenceScheme::PureAfr;
-        EXPECT_NE(o.fingerprint(), fp);
+    // One group, no overlap: frames render back to back, so the makespan
+    // is the sum of the frames' cycles.
+    SequenceTrace seq = testSequence(3);
+    SystemConfig cfg;
+    cfg.num_gpus = 8;
+    SequenceOptions opt = options(SequenceScheme::PureSfr);
+    opt.carry_over = false;
+    SequenceResult r = runSequence(opt, cfg, seq);
+    EXPECT_EQ(r.afr_groups, 1u);
+    EXPECT_EQ(r.gpus_per_group, 8u);
+    ASSERT_EQ(r.frames.size(), 3u);
+    Tick sum = 0;
+    for (const FrameResult &f : r.frames)
+        sum += f.cycles;
+    EXPECT_EQ(r.makespan, sum);
+}
+
+TEST(Sequence, PureAfrMakespanIsSlowestFrame)
+{
+    // num_gpus single-GPU groups render up to num_gpus frames at once:
+    // the makespan is the slowest frame, not the sum.
+    SequenceTrace seq = testSequence(4);
+    SystemConfig cfg;
+    cfg.num_gpus = 4;
+    SequenceResult r =
+        runSequence(options(SequenceScheme::PureAfr), cfg, seq);
+    EXPECT_EQ(r.gpus_per_group, 1u);
+    ASSERT_EQ(r.frames.size(), 4u);
+    Tick slowest = 0, sum = 0;
+    for (const FrameResult &f : r.frames) {
+        slowest = std::max(slowest, f.cycles);
+        sum += f.cycles;
     }
-    {
-        SequenceOptions o = base;
-        o.intra_scheme = Scheme::Duplication;
-        EXPECT_NE(o.fingerprint(), fp);
-    }
-    {
-        SequenceOptions o = base;
-        o.afr_groups += 2;
-        EXPECT_NE(o.fingerprint(), fp);
-    }
-    {
-        SequenceOptions o = base;
-        o.carry_over = !o.carry_over;
-        EXPECT_NE(o.fingerprint(), fp);
-    }
+    EXPECT_EQ(r.makespan, slowest);
+    EXPECT_LT(r.makespan, sum);
 }
 
 TEST(SequenceDeath, IndivisibleGroupCountPanics)

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "util/check.hh"
-#include "util/log.hh"
 
 namespace chopin
 {
@@ -131,18 +130,6 @@ TEST(Check, ScopedHandlerRestoresThePreviousHandler)
     }
     // The scope must have reinstated returningHandler, not the default.
     EXPECT_EQ(setCheckHandler(outer), &returningHandler);
-}
-
-TEST(Check, LegacyAssertForwardsToCheck)
-{
-    ScopedCheckHandler guard(throwHandler);
-    try {
-        chopin_assert(2 > 3, "legacy spelling");
-        FAIL() << "chopin_assert did not fire";
-    } catch (const CheckFailure &f) {
-        EXPECT_STREQ(f.kind, "CHECK");
-        EXPECT_EQ(f.message, "legacy spelling");
-    }
 }
 
 TEST(CheckDeath, DefaultHandlerPrintsAndAborts)

@@ -49,48 +49,32 @@ TEST(EventQueue, EventsCanScheduleEvents)
     int fired = 0;
     eq.schedule(1, [&] {
         ++fired;
-        eq.scheduleAfter(9, [&] { ++fired; });
+        eq.schedule(eq.now() + 9, [&] { ++fired; });
     });
     Tick end = eq.run();
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(end, 10u);
 }
 
-TEST(EventQueue, RunUntilLeavesLaterEvents)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(5, [&] { ++fired; });
-    eq.schedule(15, [&] { ++fired; });
-    eq.runUntil(10);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(EventQueue, RunUntilTickMaxDrainsEverything)
 {
-    // run() is runUntil(kTickMax): the named sentinel replaces the old
-    // inline ~Tick(0), and events at the extreme representable tick still
-    // execute rather than being fenced out.
+    // Events at the extreme representable tick still execute rather than
+    // being fenced out by a "run forever" sentinel.
     EventQueue eq;
     int fired = 0;
     eq.schedule(0, [&] { ++fired; });
     eq.schedule(kTickMax, [&] { ++fired; });
-    Tick end = eq.runUntil(kTickMax);
+    Tick end = eq.run();
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(end, kTickMax);
-    EXPECT_EQ(eq.pending(), 0u);
 }
 
 TEST(EventQueue, SameTickFifoSurvivesHeapChurn)
 {
     // The FIFO tie-break must hold even when the heap is churned by pops
-    // and re-pushes between insertions at the tied tick — the regime the
-    // partition-merge commit puts the heap in (batches of same-tick
-    // entries interleaved with execution). Events at tick 100 are
-    // scheduled from several earlier events; execution order must be
+    // and re-pushes between insertions at the tied tick (batches of
+    // same-tick entries interleaved with execution). Events at tick 100
+    // are scheduled from several earlier events; execution order must be
     // exactly global insertion order.
     EventQueue eq;
     std::vector<int> order;
@@ -107,15 +91,6 @@ TEST(EventQueue, SameTickFifoSurvivesHeapChurn)
     ASSERT_EQ(order.size(), 20u);
     for (int i = 0; i < 20; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue eq;
-    eq.schedule(5, [] {});
-    eq.reset();
-    EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_EQ(eq.now(), 0u);
 }
 
 // A pool worker that opens a ScenarioRegion owns a private simulation:

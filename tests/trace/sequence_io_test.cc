@@ -92,8 +92,8 @@ TEST(SequenceIo, UpgraderLoadsSingleFrameFileAsSequence)
 TEST(SequenceIo, UpgradedFingerprintMatchesNativeEquivalent)
 {
     // A v3 file upgraded through loadSequence() must fingerprint
-    // identically to the natively authored v4 equivalent, so sweep cache
-    // keys never depend on which format a workload happened to ship in.
+    // identically to the natively authored v4 equivalent: the upgrade
+    // yields the same workload, whichever format it happened to ship in.
     FrameTrace frame = generateBenchmark("wolf", 32);
     std::string v3_path = ::testing::TempDir() + "/chopin_up_v3.bin";
     std::string v4_path = ::testing::TempDir() + "/chopin_up_v4.bin";
@@ -139,8 +139,8 @@ TEST(SequenceIo, EmptySequenceIsNotRepresentable)
 TEST(SequenceIo, FingerprintCoversEveryStreamField)
 {
     // Perturb every sequence-level field and assert the fingerprint moves:
-    // a field added without fingerprint coverage would alias sweep cache
-    // entries across genuinely different workloads.
+    // a field added without fingerprint coverage would make genuinely
+    // different workloads compare equal.
     const SequenceTrace base = smallSequence();
     const std::uint64_t fp = sequenceFingerprint(base);
 

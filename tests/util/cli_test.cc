@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "util/cli.hh"
@@ -108,6 +112,28 @@ TEST(CommandLineDeath, NonNumericIntIsFatal)
             cli.getInt("count");
         },
         ::testing::ExitedWithCode(1), "expects an integer");
+}
+
+TEST(CheckWritablePath, RemovesOnlyTheFileItCreated)
+{
+    // A fresh path is created by the probe and removed again.
+    const std::string fresh = ::testing::TempDir() + "/chopin_probe_new.out";
+    std::remove(fresh.c_str());
+    checkWritablePath(fresh, "--out");
+    EXPECT_FALSE(std::filesystem::exists(fresh));
+
+    // An existing file stays, bytes and all.
+    const std::string kept = ::testing::TempDir() + "/chopin_probe_old.out";
+    {
+        std::ofstream f(kept, std::ios::binary);
+        f << "kept bytes";
+    }
+    checkWritablePath(kept, "--out");
+    std::ifstream in(kept, std::ios::binary);
+    std::string bytes{std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>()};
+    EXPECT_EQ(bytes, "kept bytes");
+    std::remove(kept.c_str());
 }
 
 } // namespace

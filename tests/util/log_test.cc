@@ -51,11 +51,5 @@ TEST(LogDeath, PanicAborts)
     EXPECT_DEATH(panic("invariant ", "broken"), "panic: invariant broken");
 }
 
-TEST(LogDeath, AssertMacroFiresWithMessage)
-{
-    EXPECT_DEATH(chopin_assert(1 == 2, "math is off by ", 1),
-                 "CHECK failed: 1 == 2: math is off by 1");
-}
-
 } // namespace
 } // namespace chopin

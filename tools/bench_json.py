@@ -18,7 +18,7 @@ ns_frame_parallel, mtris_per_s, speedup, frame_hash, cycles`. sweep_all
 additionally emits the process's `peak_rss_mb` and a `cache` block (hit
 rates, per-phase counters and the cache directory's `dir_bytes`), which
 are reported when present. perf_frame additionally emits the
-event-queue cost (`event_queue_ns_per_event`), the quad-rasterizer series (`raster_speedup`, `raster_ns_per_pixel`,
+quad-rasterizer series (`raster_speedup`, `raster_ns_per_pixel`,
 `raster_ns_per_pixel_scalar`, `raster_pixels`, `raster_backend`,
 `raster_width`) and the frame-stream series (`stream_speedup`,
 `stream_frames`, `stream_frames_per_s`, `stream_frames_per_mcycle`,
@@ -118,8 +118,6 @@ def report(data: dict) -> None:
         print(f"{CHOPIN_LABEL}: {chopin[0]:.2f}x gmean over {chopin[1]} rows")
     if "peak_rss_mb" in data:
         print(f"peak RSS: {data['peak_rss_mb']:.1f} MB")
-    if "event_queue_ns_per_event" in data:
-        print(f"event queue: {data['event_queue_ns_per_event']:.1f} ns/event")
     if "raster_speedup" in data:
         print(f"raster kernel: {data.get('raster_backend', '?')} "
               f"x{data.get('raster_width', '?')}: "

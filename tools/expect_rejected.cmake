@@ -1,11 +1,19 @@
 # Runs trace_info and render_trace on INPUT, a file that opens but is not
 # a trace, and checks how they reject it: a nonzero exit, the loader's
 # reason in the output, and no claim that the file could not be opened.
+# render_trace is given an --out path under OUT_DIR that does not exist,
+# and must not leave a file there.
 #
 #   cmake -DTRACE_INFO=<exe> -DRENDER_TRACE=<exe> -DINPUT=<file> \
-#         -P expect_rejected.cmake
+#         -DOUT_DIR=<dir> -P expect_rejected.cmake
+set(out_file "${OUT_DIR}/rejected_trace_out.ppm")
+file(REMOVE "${out_file}")
 foreach(tool IN ITEMS "${TRACE_INFO}" "${RENDER_TRACE}")
-    execute_process(COMMAND "${tool}" "${INPUT}"
+    set(args "${INPUT}")
+    if(tool STREQUAL "${RENDER_TRACE}")
+        list(APPEND args "--out=${out_file}")
+    endif()
+    execute_process(COMMAND "${tool}" ${args}
                     RESULT_VARIABLE status
                     OUTPUT_VARIABLE out
                     ERROR_VARIABLE err)
@@ -23,3 +31,7 @@ foreach(tool IN ITEMS "${TRACE_INFO}" "${RENDER_TRACE}")
                             "unopenable:\n${all}")
     endif()
 endforeach()
+if(EXISTS "${out_file}")
+    message(FATAL_ERROR "render_trace left '${out_file}' behind after "
+                        "rejecting the trace")
+endif()

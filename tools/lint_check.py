@@ -45,18 +45,21 @@ remediation recipe of each finding):
                 or attach CHOPIN_GUARDED_BY so clang's thread-safety
                 analysis can see the capability.
   bench-runscheme
-                No direct runScheme() calls in bench/ outside the harness
-                / sweep layer (bench/common.*) — benchmark harnesses route
-                simulations through bench::Harness::run()/prefetch() so
-                every result is fingerprint-memoized and shareable through
-                the on-disk result cache. perf_frame's intentional direct
-                timing calls carry explicit suppressions.
+                No direct scheme-runner calls (runScheme, runSingleGpu,
+                runDuplication, runGpupd, runChopin) in bench/ outside the
+                harness / sweep layer (bench/common.*) — benchmark
+                harnesses route simulations through
+                bench::Harness::run()/prefetch() so every result is
+                fingerprint-memoized and shareable through the on-disk
+                result cache. perf_frame's intentional direct timing calls
+                and fig08's CHOPIN variant that no Scheme value names carry
+                explicit suppressions.
   bench-stats-print
                 No ad-hoc streaming of FrameResult counter fields in
                 bench/ outside the harness layer — report output flows
                 through the metric registry serializers (TextTable /
-                JsonWriter / writeMetricsJson in stats/report.hh) so every
-                harness emits one schema instead of hand-rolled prints.
+                JsonWriter in stats/report.hh) so every harness emits one
+                schema instead of hand-rolled prints.
 
   trace-version No raw trace-format magic/version literals outside
                 src/trace/trace_io.cc — the on-disk constants (magic
@@ -218,7 +221,8 @@ GLOBAL_STATE_RE = re.compile(r"^\s*(?:static|thread_local)\s")
 NAKED_SYNC_RE = re.compile(
     r"\bstd::(?:mutex|recursive_mutex|shared_mutex|timed_mutex|"
     r"condition_variable(?:_any)?|atomic)\b")
-RUNSCHEME_RE = re.compile(r"\brunScheme\s*\(")
+RUNSCHEME_RE = re.compile(
+    r"\b(?:runScheme|runSingleGpu|runDuplication|runGpupd|runChopin)\s*\(")
 # Streaming a registered counter field directly (`<< r.cycles`), including
 # continuation lines of a multi-line `std::cout << ...` statement.
 STATS_PRINT_RE = re.compile(
@@ -319,7 +323,7 @@ def check_global_state(code: str) -> Optional[str]:
 
 def check_bench_runscheme(code: str) -> Optional[str]:
     if RUNSCHEME_RE.search(code):
-        return ("direct runScheme() call in a bench harness; route it "
+        return ("direct scheme-runner call in a bench harness; route it "
                 "through bench::Harness::run()/prefetch() (the sweep "
                 "engine) so the result is fingerprint-memoized and shared "
                 "via the on-disk result cache")
@@ -329,9 +333,8 @@ def check_bench_runscheme(code: str) -> Optional[str]:
 def check_bench_stats_print(code: str) -> Optional[str]:
     if STATS_PRINT_RE.search(code):
         return ("ad-hoc print of a registered counter field; emit it "
-                "through TextTable / JsonWriter / writeMetricsJson "
-                "(stats/report.hh) so the field stays inside the metric "
-                "registry schema")
+                "through TextTable / JsonWriter (stats/report.hh) so the "
+                "field stays inside the metric registry schema")
     return None
 
 
@@ -424,8 +427,9 @@ RULES = [
          check_naked_sync),
     Rule("bench-runscheme",
          "bench harnesses run simulations through Harness::run()",
-         "replace runScheme(scheme, cfg, trace) with "
-         "h.run(scheme, bench, cfg) (or h.prefetch(grid) up front); if the "
+         "replace runScheme(scheme, cfg, trace) or a per-scheme runner "
+         "(runGpupd, runChopin, ...) with h.run(scheme, bench, cfg) (or "
+         "h.prefetch(grid) up front); if the "
          "direct call is intentional (e.g. wall-clock measurement of the "
          "computation itself), append "
          "`// chopin-lint: allow(bench-runscheme)` with a justification",
@@ -453,8 +457,8 @@ RULES = [
     Rule("bench-stats-print",
          "bench counter output flows through the registry serializers",
          "route the value through TextTable rows or JsonWriter fields "
-         "(stats/report.hh); for a full accounting dump use "
-         "writeMetricsJson over the FrameAccounting registry instead of "
+         "(stats/report.hh); for a full accounting dump iterate "
+         "collectMetrics over the FrameAccounting registry instead of "
          "streaming individual fields",
          in_bench_outside_harness,
          check_bench_stats_print),
@@ -897,6 +901,11 @@ SELFTEST_CASES = [
      "return runScheme(s.scheme, s.cfg, trace);", False),  # harness layer
     ("bench-runscheme", "src/core/sweep.cc",
      "FrameResult r = runScheme(s.scheme, s.cfg, tr);", False),  # not bench/
+    ("bench-runscheme", "bench/ablation_gpupd_batching.cpp",
+     "FrameResult r = runGpupd(cfg, h.trace(name), false);", True),
+    ("bench-runscheme", "bench/fig08_round_robin.cpp",
+     "FrameResult r = runChopin( // chopin-lint: allow(bench-runscheme)",
+     False),
     ("bench-stats-print", "bench/fig13_performance.cpp",
      "std::cout << r.cycles << \"\\n\";", True),
     ("bench-stats-print", "bench/fig13_performance.cpp",

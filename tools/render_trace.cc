@@ -19,6 +19,7 @@
 #include "core/chopin.hh"
 #include "stats/tracer.hh"
 #include "util/check.hh"
+#include "util/log.hh"
 
 namespace
 {

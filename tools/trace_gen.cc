@@ -16,6 +16,7 @@
 #include "core/chopin.hh"
 #include "trace/generator.hh"
 #include "util/check.hh"
+#include "util/log.hh"
 
 namespace
 {

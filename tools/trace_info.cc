@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "core/chopin.hh"
+#include "util/log.hh"
 
 int
 main(int argc, char **argv)
