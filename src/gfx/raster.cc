@@ -5,16 +5,6 @@
 namespace chopin
 {
 
-void
-rasterizeTriangle(const ScreenTriangle &tri_in, const Viewport &vp,
-                  FragmentSink sink)
-{
-    // The sink was erased once, above this call; the kernel instantiates
-    // against the (small, trivially copyable) FragmentSink itself.
-    PixelRect full{0, 0, vp.width - 1, vp.height - 1};
-    rasterizeTriangleInRect(tri_in, vp, full, sink);
-}
-
 std::uint64_t
 countCoverage(const ScreenTriangle &tri, const Viewport &vp)
 {

@@ -12,10 +12,8 @@
  * rasterizeTriangleInRectAs<Lanes>() — stepping `Lanes::width` pixels per
  * iteration over a SIMD lane policy from util/simd.hh. Every entry point is
  * a thin wrapper over it:
- *  - rasterizeTriangleInRect(): the binned renderer's hot path, native
- *    lane width, statically-typed sink;
- *  - rasterizeTriangle(): whole-viewport, type-erased sink (one erasure
- *    per *triangle*, not a std::function call per fragment);
+ *  - rasterizeTriangleInRect(): the renderer's hot path, serial or binned,
+ *    native lane width, statically-typed sink;
  *  - countCoverage(): coverage-only sink (popcounts masks, skips
  *    interpolation entirely).
  *
@@ -93,36 +91,6 @@ struct CoverageSpan
     int x0 = 0;
     int y = 0;
     std::uint32_t mask = 0;
-};
-
-/**
- * Non-owning type-erased fragment callback: erasure happens once per
- * rasterizeTriangle() call (a pointer pair on the stack), replacing the
- * old std::function alias that possibly heap-allocated per call. The
- * referenced callable must outlive the rasterization call — passing a
- * temporary lambda at the call site is fine, storing a FragmentSink is
- * not.
- */
-class FragmentSink
-{
-  public:
-    template <typename Fn,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::remove_cvref_t<Fn>, FragmentSink> &&
-                  std::is_invocable_v<Fn &, const Fragment &>>>
-    FragmentSink(Fn &&fn) // NOLINT(google-explicit-constructor)
-        : obj_(const_cast<void *>(
-              static_cast<const void *>(std::addressof(fn)))),
-          call_([](void *obj, const Fragment &frag) {
-              (*static_cast<std::remove_reference_t<Fn> *>(obj))(frag);
-          })
-    {}
-
-    void operator()(const Fragment &frag) const { call_(obj_, frag); }
-
-  private:
-    void *obj_;
-    void (*call_)(void *, const Fragment &);
 };
 
 namespace raster_detail
@@ -345,14 +313,6 @@ rasterizeTriangleInRect(const ScreenTriangle &tri_in, const Viewport &vp,
     rasterizeTriangleInRectAs<simd::NativeLanes>(tri_in, vp, clip,
                                                  std::forward<Sink>(sink));
 }
-
-/**
- * Rasterize @p tri into @p vp, invoking @p sink for every covered pixel
- * whose center passes the top-left rule (whole-viewport variant with a
- * type-erased sink, kept for tests and non-hot callers).
- */
-void rasterizeTriangle(const ScreenTriangle &tri, const Viewport &vp,
-                       FragmentSink sink);
 
 /**
  * Count the pixels @p tri covers without emitting fragments (the raster

@@ -19,6 +19,9 @@ namespace
  */
 constexpr std::uint64_t rasterParallelThreshold = 8192;
 
+static_assert(defaultTileSize % Surface::blockEdge == 0,
+              "default bins must not split a written-mask block");
+
 /** The screen tiling used to bucket triangles for parallel rasterization. */
 struct BinGrid
 {
@@ -45,7 +48,9 @@ struct BinGrid
  * Bins follow @p grid's own tiles when present, so a touched-tile flag has
  * a single writer (the bucket rasterizing that tile) and, under
  * partitioned rendering, every bucket maps to exactly one GPU; otherwise a
- * default 64-pixel tiling of the viewport.
+ * default 64-pixel tiling of the viewport. Either way the bin edge is a
+ * multiple of Surface::blockEdge, so each 8x8 written-mask word has a
+ * single writer too.
  */
 BinGrid
 makeBinGrid(const Viewport &vp, const TileGrid *grid)
@@ -168,6 +173,10 @@ rasterizeKept(RenderScratch &scratch, Surface &surface, const Viewport &vp,
               DrawStats *slots)
 {
     CHOPIN_DCHECK(!by_owner || grid != nullptr);
+    CHOPIN_CHECK(grid == nullptr || grid->tileSize() % Surface::blockEdge == 0,
+                 "tile size ", grid->tileSize(),
+                 " is not a multiple of the ", Surface::blockEdge,
+                 "-pixel written-mask block");
 
     // Applies one fragment; returns whether it was written to the surface.
     auto shadeAndApply = [&](DrawStats &s, const Fragment &frag) -> bool {

@@ -136,9 +136,10 @@ RenderScratch &threadRenderScratch();
  *
  * @param touched_tiles optional per-tile flags (indexed by @p grid linear
  *        tile index) set for every tile that receives a written fragment —
- *        used to size CHOPIN's composition traffic.
- * @param grid tile grid used for @p touched_tiles indexing (may be null if
- *        touched_tiles is null).
+ *        used to size the render-target sync broadcast.
+ * @param grid tile grid used for @p touched_tiles indexing and, when the
+ *        draw rasterizes binned, as the bins (may be null if touched_tiles
+ *        is null); its tile size must be a multiple of Surface::blockEdge.
  * @return functional statistics for the timing model.
  */
 DrawStats renderDraw(Surface &surface, const Viewport &vp,

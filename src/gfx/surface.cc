@@ -27,6 +27,15 @@ fnv1a(std::uint64_t h, const void *bytes, std::size_t n)
     return h;
 }
 
+/** Bitwise equality (tells -0.0 from 0.0 and matches NaN payloads). */
+template <typename T>
+bool
+bitEqual(const T &a, const T &b)
+{
+    using Bytes = std::array<unsigned char, sizeof(T)>;
+    return std::bit_cast<Bytes>(a) == std::bit_cast<Bytes>(b);
+}
+
 } // namespace
 
 std::uint64_t
@@ -57,8 +66,18 @@ Surface::contentHashFrom(std::uint64_t frame_hash) const
     std::uint64_t h = frame_hash;
     if (!depth.empty())
         h = fnv1a(h, depth.data(), depth.size() * sizeof(float));
-    if (!written.empty())
-        h = fnv1a(h, written.data(), written.size());
+    // One 0/1 byte per pixel in row-major order: the bytes a per-pixel
+    // written plane would hold, so the value does not depend on the mask
+    // layout.
+    for (int y = 0; y < height(); ++y) {
+        const std::uint64_t *row = masks.data() + static_cast<std::size_t>(
+                                                      y >> 3) * bx;
+        unsigned shift = static_cast<unsigned>(y & 7) * 8;
+        for (int x = 0; x < width(); ++x) {
+            h ^= (row[x >> 3] >> (shift + static_cast<unsigned>(x & 7))) & 1U;
+            h *= fnvPrime;
+        }
+    }
     return h;
 }
 
@@ -66,8 +85,9 @@ Surface::Surface(int w, int h)
     : img(w, h),
       depth(static_cast<std::size_t>(w) * h, 1.0f),
       lastWriter(static_cast<std::size_t>(w) * h, noWriter),
-      written(static_cast<std::size_t>(w) * h, 0),
-      stencil(static_cast<std::size_t>(w) * h, 0)
+      stencil(static_cast<std::size_t>(w) * h, 0),
+      bx((w + blockEdge - 1) / blockEdge), by((h + blockEdge - 1) / blockEdge),
+      masks(static_cast<std::size_t>(bx) * by, 0)
 {
 }
 
@@ -77,114 +97,76 @@ Surface::clear(const Color &c, float z)
     img.clear(c);
     std::fill(depth.begin(), depth.end(), z);
     std::fill(lastWriter.begin(), lastWriter.end(), noWriter);
-    std::fill(written.begin(), written.end(), 0);
     std::fill(stencil.begin(), stencil.end(), 0);
+    std::fill(masks.begin(), masks.end(), 0);
+    held_color = c;
+    held_depth = z;
 }
 
 void
-Surface::clearRect(const PixelRect &r, const Color &c, float z)
+Surface::reset(const Color &c, float z)
 {
-    CHOPIN_DCHECK(r.x0 >= 0 && r.y0 >= 0 && r.x1 < width() &&
-                      r.y1 < height(),
-                  "clearRect outside the ", width(), "x", height(),
-                  " surface");
-    if (r.empty())
+    if (!bitEqual(c, held_color) || !bitEqual(z, held_depth)) {
+        clear(c, z);
         return;
-    std::size_t n = static_cast<std::size_t>(r.x1 - r.x0 + 1);
-    for (int y = r.y0; y <= r.y1; ++y) {
-        std::size_t i = idx(r.x0, y);
-        std::fill_n(img.data().begin() + i, n, c);
-        std::fill_n(depth.begin() + i, n, z);
-        std::fill_n(lastWriter.begin() + i, n, noWriter);
-        std::fill_n(written.begin() + i, n, 0);
-        std::fill_n(stencil.begin() + i, n, 0);
     }
-}
-
-namespace
-{
-
-/** Whether @p s is bit-for-bit in Surface(w, h) state (a full scan, for
- *  DCHECKs only). */
-bool
-isPristine(const Surface &s)
-{
-    using ColorBits = std::array<std::uint32_t, 4>;
-    const ColorBits blank = std::bit_cast<ColorBits>(Color());
-    const std::uint32_t far = std::bit_cast<std::uint32_t>(1.0f);
-    for (int y = 0; y < s.height(); ++y) {
-        for (int x = 0; x < s.width(); ++x) {
-            if (std::bit_cast<ColorBits>(s.color().at(x, y)) != blank ||
-                std::bit_cast<std::uint32_t>(s.depthAt(x, y)) != far ||
-                s.writerAt(x, y) != noWriter || s.writtenAt(x, y) ||
-                s.stencilAt(x, y) != 0)
-                return false;
+    // Each run of written blocks in a block row clears as one span per
+    // pixel row, so a mostly written surface clears in long fills.
+    for (int b_y = 0; b_y < by; ++b_y) {
+        std::uint64_t *row = masks.data() + static_cast<std::size_t>(b_y) * bx;
+        int y0 = b_y * blockEdge;
+        int y1 = std::min(y0 + blockEdge, height());
+        for (int run = 0; run < bx;) {
+            if (row[run] == 0) {
+                ++run;
+                continue;
+            }
+            int end = run;
+            for (; end < bx && row[end] != 0; ++end)
+                row[end] = 0;
+            int x0 = run * blockEdge;
+            std::size_t n = static_cast<std::size_t>(
+                std::min(end * blockEdge, width()) - x0);
+            for (int y = y0; y < y1; ++y) {
+                std::size_t i = idx(x0, y);
+                std::fill_n(img.data().begin() + i, n, c);
+                std::fill_n(depth.begin() + i, n, z);
+                std::fill_n(lastWriter.begin() + i, n, noWriter);
+                std::fill_n(stencil.begin() + i, n, 0);
+            }
+            run = end;
         }
     }
-    return true;
 }
 
-} // namespace
-
-Surface
-SurfaceCache::pop(std::vector<Surface> &from)
+Image
+Surface::takeColor()
 {
-    Surface s = std::move(from.back());
-    from.pop_back();
-    return s;
-}
-
-void
-SurfaceCache::resize(int w, int h)
-{
-    if (w == width && h == height)
-        return;
-    clean.clear();
-    dirty.clear();
-    width = w;
-    height = h;
+    Image out = std::move(img);
+    *this = Surface();
+    return out;
 }
 
 Surface
 SurfaceCache::take(int w, int h)
 {
-    resize(w, h);
-    if (!clean.empty())
-        return pop(clean);
-    if (dirty.empty())
+    if (w != width || h != height) {
+        held.clear();
+        width = w;
+        height = h;
+    }
+    if (held.empty())
         return Surface(w, h);
-    Surface s = pop(dirty);
-    s.clear(Color(), 1.0f);
+    Surface s = std::move(held.back());
+    held.pop_back();
     return s;
-}
-
-Surface
-SurfaceCache::takeAny(int w, int h)
-{
-    resize(w, h);
-    if (!dirty.empty())
-        return pop(dirty);
-    if (!clean.empty())
-        return pop(clean);
-    return Surface(w, h);
 }
 
 void
 SurfaceCache::give(Surface &&s)
 {
-    if (s.width() != width || s.height() != height)
-        return;
-    CHOPIN_DCHECK(isPristine(s), "surface given back to the cache is not in "
-                                 "Surface(w, h) state");
-    clean.push_back(std::move(s));
-}
-
-void
-SurfaceCache::giveAny(Surface &&s)
-{
-    if (s.width() != width || s.height() != height)
-        return;
-    dirty.push_back(std::move(s));
+    if (s.width() == width && s.height() == height)
+        held.push_back(std::move(s));
 }
 
 Color
@@ -267,7 +249,7 @@ Surface::applyFragment(const Fragment &frag, const RasterState &state,
         stencil[i] = applyStencilOp(state.stencil_pass_op, stencil[i],
                                     state.stencil_ref);
     lastWriter[i] = draw;
-    written[i] = 1;
+    setWrittenBit(frag.x, frag.y);
     stats.frags_written += 1;
 }
 

@@ -27,17 +27,6 @@ TileGrid::pixelsInTile(int tile_index) const
     return px * py;
 }
 
-PixelRect
-TileGrid::tileRect(int tile_index) const
-{
-    PixelRect r;
-    r.x0 = (tile_index % tx) * tile;
-    r.y0 = (tile_index / tx) * tile;
-    r.x1 = std::min(r.x0 + tile, w) - 1;
-    r.y1 = std::min(r.y0 + tile, h) - 1;
-    return r;
-}
-
 bool
 TileGrid::ownersPartitionScreen() const
 {

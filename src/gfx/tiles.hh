@@ -94,10 +94,6 @@ class TileGrid
     /** Number of pixels actually inside tile @p t (edge tiles are partial). */
     int pixelsInTile(int tile_index) const;
 
-    /** Inclusive pixel rectangle of tile @p tile_index, clipped to the
-     *  screen (edge tiles are partial). */
-    PixelRect tileRect(int tile_index) const;
-
     /**
      * Ownership-partition invariant: every screen pixel belongs to exactly
      * one GPU, every owner id is valid, and the per-owner pixel counts sum

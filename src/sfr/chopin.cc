@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 
 #include "comp/operators.hh"
 #include "gfx/renderer.hh"
@@ -24,6 +25,7 @@
 #include "sfr/context.hh"
 #include "sfr/grouping.hh"
 #include "sfr/schemes.hh"
+#include "util/check.hh"
 #include "util/log.hh"
 #include "util/thread_pool.hh"
 #include "util/types.hh"
@@ -34,13 +36,18 @@ namespace chopin
 namespace
 {
 
-/** Bitwise equality (tells -0.0 from 0.0 and matches NaN payloads). */
-template <typename T>
-bool
-sameBits(const T &a, const T &b)
+/** Call @p fn(x, y, bit) for every set bit of @p mask, the written mask
+ *  of 8x8 block (@p bx, @p by), in ascending bit order. */
+template <typename Fn>
+void
+forEachWritten(std::uint64_t mask, int bx, int by, Fn &&fn)
 {
-    using Bytes = std::array<unsigned char, sizeof(T)>;
-    return std::bit_cast<Bytes>(a) == std::bit_cast<Bytes>(b);
+    while (mask != 0) {
+        int bit = std::countr_zero(mask);
+        mask &= mask - 1;
+        fn(bx * Surface::blockEdge + (bit & 7),
+           by * Surface::blockEdge + (bit >> 3), bit);
+    }
 }
 
 /** Per-run state for the CHOPIN scheme. */
@@ -51,67 +58,65 @@ struct ChopinRun
     DrawCommandScheduler sched;
     /** Per-GPU sub-images, taken from the thread's surface cache. */
     std::vector<Surface> subs;
-    /** Per sub-image, the tiles it has written since its last reset. */
-    std::vector<std::vector<std::uint8_t>> sub_touched;
-    /** The value every sub-image was last reset to; a cached surface
-     *  arrives in Surface(w, h) state, which is this default. */
-    Color sub_clear_color;
-    float sub_clear_depth = 1.0f;
+    /** Blocks per tile edge: the merges and the payload count walk each
+     *  tile's 8x8 blocks. */
+    int tile_blocks = 0;
     Tick t = 0;
 
     ChopinRun(SimContext &sim_ctx, const ChopinOptions &run_opts)
         : ctx(sim_ctx), opts(run_opts),
           sched(ctx.pipes, opts.policy, ctx.cfg.sched_update_tris)
     {
+        // The merges run tile-parallel and store into the render target's
+        // written masks, so no 8x8 block may straddle two tiles.
+        CHOPIN_CHECK(ctx.grid.tileSize() % Surface::blockEdge == 0,
+                     "tile size ", ctx.grid.tileSize(),
+                     " is not a multiple of the ", Surface::blockEdge,
+                     "-pixel written-mask block");
+        tile_blocks = ctx.grid.tileSize() / Surface::blockEdge;
         SurfaceCache &cache = threadRenderScratch().surfaces;
         subs.reserve(ctx.cfg.num_gpus);
-        sub_touched.resize(ctx.cfg.num_gpus);
-        for (unsigned g = 0; g < ctx.cfg.num_gpus; ++g) {
+        for (unsigned g = 0; g < ctx.cfg.num_gpus; ++g)
             subs.push_back(cache.take(ctx.vp.width, ctx.vp.height));
-            sub_touched[g].assign(
-                static_cast<std::size_t>(ctx.grid.tileCount()), 0);
-        }
+    }
+
+    /** Half-open block ranges [bx0, bx1) x [by0, by1) of tile @p tile. */
+    struct TileBlocks
+    {
+        int bx0, bx1, by0, by1;
+    };
+
+    TileBlocks
+    blocksOf(int tile) const
+    {
+        const TileGrid &grid = ctx.grid;
+        int bx0 = (tile % grid.tilesX()) * tile_blocks;
+        int by0 = (tile / grid.tilesX()) * tile_blocks;
+        const Surface &any = subs.front();
+        return {bx0, std::min(bx0 + tile_blocks, any.blocksX()), by0,
+                std::min(by0 + tile_blocks, any.blocksY())};
     }
 
     /**
      * Reset every sub-image to color @p c and depth @p z (no writer,
-     * unwritten, stencil 0) and clear its touched-tile flags.
-     *
-     * Touched-tile invariant: renderDraw flags the tile of every fragment
-     * it writes, and Surface::applyFragment changes a pixel only on that
-     * written path, so every pixel that differs from the last reset value
-     * lies in a tile flagged since that reset. When (@p c, @p z) equals
-     * that value bit for bit, clearing just the flagged tiles restores the
-     * whole sub-image. Any other value — reversed-Z groups clear depth to
-     * 0, Multiply groups clear color to 1s — takes a full clear.
+     * unwritten, stencil 0). Surface::reset clears only the written blocks
+     * when the value matches the one a sub-image holds, and clears it whole
+     * otherwise: reversed-Z groups clear depth to 0, Multiply groups clear
+     * color to 1s.
      */
     void
     resetSubs(const Color &c, float z)
     {
-        bool same = sameBits(c, sub_clear_color) &&
-                    sameBits(z, sub_clear_depth);
-        // Per-GPU fan-out: worker g writes only subs[g] and its flags.
-        const TileGrid &grid = ctx.grid;
-        globalPool().parallelFor(subs.size(), [&](std::size_t g) {
-            if (same) {
-                for (int tile = 0; tile < grid.tileCount(); ++tile)
-                    if (sub_touched[g][tile])
-                        subs[g].clearRect(grid.tileRect(tile), c, z);
-            } else {
-                subs[g].clear(c, z);
-            }
-            std::fill(sub_touched[g].begin(), sub_touched[g].end(), 0);
-        });
-        sub_clear_color = c;
-        sub_clear_depth = z;
+        // Per-GPU fan-out: worker g writes only subs[g].
+        globalPool().parallelFor(subs.size(),
+                                 [&](std::size_t g) { subs[g].reset(c, z); });
     }
 
-    /** Give the sub-images back to the thread's surface cache in
-     *  Surface(w, h) state. */
+    /** Give the sub-images back to the thread's surface cache as they are
+     *  (their next taker resets them). */
     void
     releaseSubs()
     {
-        resetSubs(Color(), 1.0f);
         SurfaceCache &cache = threadRenderScratch().surfaces;
         for (Surface &sub : subs)
             cache.give(std::move(sub));
@@ -188,9 +193,9 @@ struct ChopinRun
         }
 
         std::vector<DrawStats> draw_stats(count);
-        // Worker g writes only subs[g], sub_touched[g] and the stats slots
-        // of its own draws. ctx is aliased only for the immutable
-        // trace/viewport inputs; render workers never reach ctx.tracer.
+        // Worker g writes only subs[g] and the stats slots of its own
+        // draws. ctx is aliased only for the immutable trace/viewport
+        // inputs; render workers never reach ctx.tracer.
         globalPool().parallelFor(n, [&](std::size_t g) {
             for (std::uint32_t k = 0; k < count; ++k) {
                 if (assignment[k] != g)
@@ -198,8 +203,7 @@ struct ChopinRun
                 const DrawCommand &cmd =
                     ctx.trace.draws[group.first_draw + k];
                 draw_stats[k] =
-                    renderDraw(subs[g], ctx.vp, ctx.drawInput(cmd),
-                               RenderFilter{}, &sub_touched[g], &ctx.grid);
+                    renderDraw(subs[g], ctx.vp, ctx.drawInput(cmd));
             }
         });
 
@@ -236,54 +240,57 @@ struct ChopinRun
      * payload moves at DMA-burst granularity — any 8x8 sub-tile containing
      * a written pixel is transferred whole. This sits between idealized
      * per-pixel masking and naive whole-tile transfers, matching how ROPs
-     * move compressed tile storage.
+     * move compressed tile storage. The sub-tiles are the sub-images' 8x8
+     * written-mask blocks, so every count comes from the masks.
      */
     void
     fillJobPixels(CompositionJob &job)
     {
-        constexpr int sub = 8; // sub-tile (burst) edge in pixels
         unsigned n = ctx.cfg.num_gpus;
         CompPayload payload = ctx.cfg.comp_payload;
+        int width = ctx.vp.width;
+        int height = ctx.vp.height;
         // Per-GPU fan-out: GPU g's pass reads only subs[g] and accumulates
         // only into job slots indexed by g (subimage/self/pair rows), so
         // the counts are schedule-invariant. ctx is captured by reference
-        // but the workers read only ctx.cfg/grid (set up before the
+        // but the workers read only ctx.cfg/grid/vp (set up before the
         // fan-out, immutable during it) and never reach ctx.tracer.
         globalPool().parallelFor(n, [&](std::size_t gi) {
             unsigned g = static_cast<unsigned>(gi);
+            const Surface &sub = subs[g];
             for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
-                if (!sub_touched[g][tile])
-                    continue;
-                GpuId owner = ctx.grid.ownerOfTile(
-                    tile % ctx.grid.tilesX(), tile / ctx.grid.tilesX());
-                PixelRect r = ctx.grid.tileRect(tile);
+                TileBlocks tb = blocksOf(tile);
                 std::uint64_t px = 0;
-                switch (payload) {
-                  case CompPayload::FullTiles:
-                    px = static_cast<std::uint64_t>(
-                        ctx.grid.pixelsInTile(tile));
-                    break;
-                  case CompPayload::WrittenPixels:
-                    for (int y = r.y0; y <= r.y1; ++y)
-                        for (int x = r.x0; x <= r.x1; ++x)
-                            px += subs[g].writtenAt(x, y) ? 1 : 0;
-                    break;
-                  case CompPayload::SubTiles:
-                    for (int sy = r.y0; sy <= r.y1; sy += sub) {
-                        for (int sx = r.x0; sx <= r.x1; sx += sub) {
-                            int ex = std::min(sx + sub, r.x1 + 1);
-                            int ey = std::min(sy + sub, r.y1 + 1);
-                            bool any = false;
-                            for (int y = sy; y < ey && !any; ++y)
-                                for (int x = sx; x < ex && !any; ++x)
-                                    any = subs[g].writtenAt(x, y);
-                            if (any)
-                                px += static_cast<std::uint64_t>(ex - sx) *
-                                      static_cast<std::uint64_t>(ey - sy);
+                bool touched = false;
+                for (int by = tb.by0; by < tb.by1; ++by) {
+                    for (int bx = tb.bx0; bx < tb.bx1; ++bx) {
+                        std::uint64_t mask =
+                            sub.blockMask(by * sub.blocksX() + bx);
+                        if (mask == 0)
+                            continue;
+                        touched = true;
+                        if (payload == CompPayload::WrittenPixels) {
+                            px += static_cast<std::uint64_t>(
+                                std::popcount(mask));
+                        } else if (payload == CompPayload::SubTiles) {
+                            int x0 = bx * Surface::blockEdge;
+                            int y0 = by * Surface::blockEdge;
+                            px += static_cast<std::uint64_t>(
+                                      std::min(Surface::blockEdge,
+                                               width - x0)) *
+                                  static_cast<std::uint64_t>(
+                                      std::min(Surface::blockEdge,
+                                               height - y0));
                         }
                     }
-                    break;
                 }
+                if (!touched)
+                    continue;
+                if (payload == CompPayload::FullTiles)
+                    px = static_cast<std::uint64_t>(
+                        ctx.grid.pixelsInTile(tile));
+                GpuId owner = ctx.grid.ownerOfTile(
+                    tile % ctx.grid.tilesX(), tile / ctx.grid.tilesX());
                 job.subimage_pixels[g] += px;
                 if (owner == g)
                     job.self_pixels[g] += px;
@@ -328,40 +335,44 @@ struct ChopinRun
 
         // Functional composition: out-of-order per-pixel selection. The
         // order of sub-images is irrelevant (opaqueWins is a total order).
-        // Tile-major traversal of the serial g-major loop, parallel over
-        // tiles: tiles are disjoint pixel sets and each pixel still folds
-        // the sub-images in ascending GPU order, so the result (and each
-        // dirty flag, single-writer per tile) is schedule-invariant.
+        // Parallel over tiles, walking each GPU's written bits in
+        // ascending GPU order: tiles are disjoint pixel sets (and, with
+        // tile sizes a multiple of 8, disjoint mask words of the target),
+        // and each pixel still folds the sub-images in ascending GPU
+        // order, so the result (and each dirty flag, single-writer per
+        // tile) is schedule-invariant.
         Surface &target = ctx.rts[group.render_target];
         std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
+        bool write_depth = group.depth_test && group.depth_write;
         globalPool().parallelFor(
             static_cast<std::size_t>(ctx.grid.tileCount()),
             // ctx is aliased only for grid geometry reads here; the tile
             // workers never reach ctx.tracer.
             [&](std::size_t tile_index) {
                 int tile = static_cast<int>(tile_index);
+                TileBlocks tb = blocksOf(tile);
                 for (unsigned g = 0; g < n; ++g) {
-                    if (!sub_touched[g][tile])
-                        continue;
-                    dirty[tile] = 1;
-                    PixelRect r = ctx.grid.tileRect(tile);
-                    for (int y = r.y0; y <= r.y1; ++y) {
-                        for (int x = r.x0; x <= r.x1; ++x) {
-                            if (!subs[g].writtenAt(x, y))
+                    const Surface &sub = subs[g];
+                    for (int by = tb.by0; by < tb.by1; ++by) {
+                        for (int bx = tb.bx0; bx < tb.bx1; ++bx) {
+                            std::uint64_t mask =
+                                sub.blockMask(by * sub.blocksX() + bx);
+                            if (mask == 0)
                                 continue;
-                            OpaquePixel in{subs[g].color().at(x, y),
-                                           subs[g].depthAt(x, y),
-                                           subs[g].writerAt(x, y)};
-                            OpaquePixel cur{target.color().at(x, y),
-                                            target.depthAt(x, y),
-                                            target.writerAt(x, y)};
-                            if (!opaqueWins(eff_func, in, cur))
-                                continue;
-                            target.color().at(x, y) = in.color;
-                            if (group.depth_test && group.depth_write)
-                                target.setDepth(x, y, in.depth);
-                            target.setWriter(x, y, in.writer);
-                            target.markWritten(x, y);
+                            dirty[tile] = 1;
+                            forEachWritten(mask, bx, by, [&](int x, int y,
+                                                             int) {
+                                OpaquePixel in{sub.color().at(x, y),
+                                               sub.depthAt(x, y),
+                                               sub.writerAt(x, y)};
+                                OpaquePixel cur{target.color().at(x, y),
+                                                target.depthAt(x, y),
+                                                target.writerAt(x, y)};
+                                if (opaqueWins(eff_func, in, cur))
+                                    target.storeOpaque(x, y, in.color,
+                                                       in.depth, in.writer,
+                                                       write_depth);
+                            });
                         }
                     }
                 }
@@ -401,39 +412,44 @@ struct ChopinRun
 
         // Functional merge: fold sub-images front (highest GPU id = latest
         // draws) to back, then apply over the background.
-        // Tile-parallel: the fold is per-pixel (front-to-back over the
-        // sub-images) and tiles are disjoint, so each tile merges
-        // independently with bit-identical float sequences.
+        // Tile-parallel over the union of the GPUs' written bits: the fold
+        // is per-pixel (front-to-back over the sub-images) and tiles are
+        // disjoint, so each tile merges independently with bit-identical
+        // float sequences.
         Surface &target = ctx.rts[group.render_target];
         std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
-        const TileGrid &grid = ctx.grid;
+        const Color identity = transparentIdentity(op);
         globalPool().parallelFor(
-            static_cast<std::size_t>(grid.tileCount()),
+            static_cast<std::size_t>(ctx.grid.tileCount()),
             [&](std::size_t tile_index) {
                 int tile = static_cast<int>(tile_index);
-                bool touched = false;
-                for (unsigned g = 0; g < n && !touched; ++g)
-                    touched = sub_touched[g][tile] != 0;
-                if (!touched)
-                    return;
-                dirty[tile] = 1;
-                PixelRect r = grid.tileRect(tile);
-                for (int y = r.y0; y <= r.y1; ++y) {
-                    for (int x = r.x0; x <= r.x1; ++x) {
-                        bool any = false;
-                        Color merged = transparentIdentity(op);
-                        for (int g = static_cast<int>(n) - 1; g >= 0; --g) {
-                            if (!subs[g].writtenAt(x, y))
-                                continue;
-                            any = true;
-                            merged = mergeTransparent(
-                                op, merged, subs[g].color().at(x, y));
+                TileBlocks tb = blocksOf(tile);
+                // One block's mask per GPU (SimContext allows at most 64).
+                std::array<std::uint64_t, 64> masks{};
+                for (int by = tb.by0; by < tb.by1; ++by) {
+                    for (int bx = tb.bx0; bx < tb.bx1; ++bx) {
+                        int b = by * subs.front().blocksX() + bx;
+                        std::uint64_t any = 0;
+                        for (unsigned g = 0; g < n; ++g) {
+                            masks[g] = subs[g].blockMask(b);
+                            any |= masks[g];
                         }
-                        if (!any)
+                        if (any == 0)
                             continue;
-                        target.color().at(x, y) = finalizeTransparent(
-                            op, merged, target.color().at(x, y));
-                        target.markWritten(x, y);
+                        dirty[tile] = 1;
+                        forEachWritten(any, bx, by, [&](int x, int y,
+                                                        int bit) {
+                            Color merged = identity;
+                            for (int g = static_cast<int>(n) - 1; g >= 0;
+                                 --g)
+                                if ((masks[g] >> bit) & 1U)
+                                    merged = mergeTransparent(
+                                        op, merged, subs[g].color().at(x, y));
+                            target.storeBlended(
+                                x, y,
+                                finalizeTransparent(op, merged,
+                                                    target.color().at(x, y)));
+                        });
                     }
                 }
             });

@@ -38,8 +38,8 @@ SimContext::SimContext(const SystemConfig &config, const FrameTrace &frame,
     rts.reserve(trace.num_render_targets);
     rt_dirty.resize(trace.num_render_targets);
     for (std::uint32_t r = 0; r < trace.num_render_targets; ++r) {
-        rts.push_back(cache.takeAny(vp.width, vp.height));
-        rts[r].clear(trace.clear_color, trace.clear_depth);
+        rts.push_back(cache.take(vp.width, vp.height));
+        rts[r].reset(trace.clear_color, trace.clear_depth);
         rt_dirty[r].assign(static_cast<std::size_t>(grid.tileCount()), 0);
     }
 }
@@ -169,14 +169,14 @@ SimContext::finish(Scheme scheme, Tick end, Image *image)
     r.frame_hash = frameHash(rts[0].color());
     r.content_hash = rts[0].contentHashFrom(r.frame_hash);
     if (image != nullptr)
-        *image = std::move(rts[0].color());
+        *image = rts[0].takeColor();
 
-    // Hand every render target back as it is (the constructor clears them
-    // whole). One whose color image just moved out reports 0x0, and the
+    // Hand every render target back as it is (the constructor resets
+    // them). One whose color image was just taken reports 0x0, and the
     // cache drops it.
     SurfaceCache &cache = threadRenderScratch().surfaces;
     for (Surface &s : rts)
-        cache.giveAny(std::move(s));
+        cache.give(std::move(s));
     rts.clear();
     return r;
 }

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "gfx/raster.hh"
@@ -269,14 +270,18 @@ TEST(RasterSimd, CoverageSinkMatchesFragmentCount)
 
 TEST(RasterSimd, TypeErasedSinkMatchesTemplatedSink)
 {
+    // The renderer's entry point is the same kernel at native width, and
+    // a sink erased behind std::function sees the same fragments as a
+    // lambda the kernel instantiates against directly.
     Viewport vp{32, 32};
     ScreenTriangle t = tri(2.3f, 1.9f, 29.7f, 6.4f, 8.8f, 30.2f);
     std::vector<Fragment> direct =
         rasterAs<simd::NativeLanes>(t, vp, fullRect(vp));
     std::vector<Fragment> erased;
-    rasterizeTriangle(t, vp,
-                      [&erased](const Fragment &f) { erased.push_back(f); });
-    expectBitIdentical(direct, erased, "FragmentSink");
+    std::function<void(const Fragment &)> sink =
+        [&erased](const Fragment &f) { erased.push_back(f); };
+    rasterizeTriangleInRect(t, vp, fullRect(vp), sink);
+    expectBitIdentical(direct, erased, "std::function sink");
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
 #include "gfx/raster.hh"
 #include "util/rng.hh"
@@ -22,13 +23,22 @@ tri(float x0, float y0, float x1, float y1, float x2, float y2,
     return t;
 }
 
+/** Rasterize @p t over the whole viewport, one fragment at a time. */
+template <typename Sink>
+void
+rasterizeFull(const ScreenTriangle &t, const Viewport &vp, Sink &&sink)
+{
+    PixelRect full{0, 0, vp.width - 1, vp.height - 1};
+    rasterizeTriangleInRect(t, vp, full, std::forward<Sink>(sink));
+}
+
 TEST(Raster, AxisAlignedRightTriangleCoverage)
 {
     // Legs from (0,0) to (4,0) to (0,4): covers the pixels strictly inside
     // the hypotenuse; with pixel centers at +0.5 that is 6 pixels.
     Viewport vp{16, 16};
     std::set<std::pair<int, int>> covered;
-    rasterizeTriangle(tri(0, 0, 4, 0, 0, 4), vp, [&](const Fragment &f) {
+    rasterizeFull(tri(0, 0, 4, 0, 0, 4), vp, [&](const Fragment &f) {
         covered.insert({f.x, f.y});
     });
     std::set<std::pair<int, int>> expected{
@@ -43,8 +53,8 @@ TEST(Raster, FullPixelQuadCoverageCount)
     // pixels with no double coverage (top-left rule on the shared edge).
     std::map<std::pair<int, int>, int> hits;
     auto sink = [&](const Fragment &f) { hits[{f.x, f.y}] += 1; };
-    rasterizeTriangle(tri(8, 8, 16, 8, 8, 16), vp, sink);
-    rasterizeTriangle(tri(16, 8, 16, 16, 8, 16), vp, sink);
+    rasterizeFull(tri(8, 8, 16, 8, 8, 16), vp, sink);
+    rasterizeFull(tri(16, 8, 16, 16, 8, 16), vp, sink);
     EXPECT_EQ(hits.size(), 64u);
     for (const auto &[px, count] : hits)
         EXPECT_EQ(count, 1) << "pixel " << px.first << "," << px.second;
@@ -70,14 +80,14 @@ TEST(Raster, ClampsToViewport)
 {
     Viewport vp{8, 8};
     std::uint64_t n = 0;
-    rasterizeTriangle(tri(-100, -100, 300, -100, -100, 300), vp,
-                      [&](const Fragment &f) {
-                          ++n;
-                          ASSERT_GE(f.x, 0);
-                          ASSERT_LT(f.x, vp.width);
-                          ASSERT_GE(f.y, 0);
-                          ASSERT_LT(f.y, vp.height);
-                      });
+    rasterizeFull(tri(-100, -100, 300, -100, -100, 300), vp,
+                  [&](const Fragment &f) {
+                      ++n;
+                      ASSERT_GE(f.x, 0);
+                      ASSERT_LT(f.x, vp.width);
+                      ASSERT_GE(f.y, 0);
+                      ASSERT_LT(f.y, vp.height);
+                  });
     EXPECT_EQ(n, 64u); // the whole viewport is inside the triangle
 }
 
@@ -89,7 +99,7 @@ TEST(Raster, DepthInterpolationAtVertexAndCenter)
     t.v[1].z = 1.0f;
     t.v[2].z = 1.0f;
     float z_origin = -1.0f;
-    rasterizeTriangle(t, vp, [&](const Fragment &f) {
+    rasterizeFull(t, vp, [&](const Fragment &f) {
         if (f.x == 0 && f.y == 0)
             z_origin = f.z;
         ASSERT_GE(f.z, 0.0f);
@@ -103,7 +113,7 @@ TEST(Raster, ColorInterpolationIsBarycentric)
 {
     Viewport vp{32, 32};
     ScreenTriangle t = tri(0, 0, 16, 0, 0, 16);
-    rasterizeTriangle(t, vp, [&](const Fragment &f) {
+    rasterizeFull(t, vp, [&](const Fragment &f) {
         float sum = f.color.r + f.color.g + f.color.b;
         ASSERT_NEAR(sum, 1.0f, 1e-4f); // weights sum to one
     });
@@ -136,10 +146,10 @@ TEST_P(FillConventionTest, SharedEdgesNeverDoubleCover)
                     cy + r * std::sin(angles[i])};
         std::map<std::pair<int, int>, int> hits;
         auto sink = [&](const Fragment &f) { hits[{f.x, f.y}] += 1; };
-        rasterizeTriangle(tri(p[0].x, p[0].y, p[1].x, p[1].y, p[2].x, p[2].y),
-                          vp, sink);
-        rasterizeTriangle(tri(p[0].x, p[0].y, p[2].x, p[2].y, p[3].x, p[3].y),
-                          vp, sink);
+        rasterizeFull(tri(p[0].x, p[0].y, p[1].x, p[1].y, p[2].x, p[2].y),
+                      vp, sink);
+        rasterizeFull(tri(p[0].x, p[0].y, p[2].x, p[2].y, p[3].x, p[3].y),
+                      vp, sink);
         for (const auto &[px, count] : hits)
             ASSERT_EQ(count, 1)
                 << "double-covered pixel " << px.first << "," << px.second

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "gfx/renderer.hh"
 #include "gfx/surface.hh"
@@ -247,132 +249,188 @@ struct ScopedJobs
     ~ScopedJobs() { setGlobalJobs(1); }
 };
 
-class TouchedTileResetTest : public ::testing::TestWithParam<unsigned>
+/** Render two draws into @p s: a large opaque triangle plus a sliver in
+ *  the top-left corner that write stencil, binned along @p grid's tiles at
+ *  jobs > 1, then an Over-blended triangle across it plus a sliver in the
+ *  partial bottom-right corner block, binned along the default bins. */
+void
+drawOpaqueStencilAndOver(Surface &s, const Viewport &vp,
+                         const TileGrid &grid)
 {
-};
-
-TEST_P(TouchedTileResetTest, ResetOfTouchedTilesRestoresFreshState)
-{
-    // The invariant CHOPIN's sub-image resets rely on: every pixel a draw
-    // changes lies in a tile renderDraw flagged, so clearing the flagged
-    // tiles alone restores Surface(w, h) state — at any job count (the
-    // serial path flags per fragment, the binned path per bucket).
-    ScopedJobs jobs(GetParam());
-    Viewport vp{200, 120};
-    TileGrid grid(vp.width, vp.height, 1, 32);
-    Surface s(vp.width, vp.height);
-    std::vector<std::uint8_t> touched(
-        static_cast<std::size_t>(grid.tileCount()), 0);
-
-    // A large triangle (enough pixels for the binned path) plus one in a
-    // corner, with stencil writes so every buffer changes.
-    std::vector<Triangle> tris(2);
+    std::vector<Triangle> big(2);
     Color c{0.8f, 0.3f, 0.1f, 1.0f};
-    tris[0].v[0] = {{-0.7f, -0.8f, 0.2f}, c};
-    tris[0].v[1] = {{-0.1f, 0.6f, 0.2f}, c};
-    tris[0].v[2] = {{0.4f, -0.8f, 0.2f}, c};
-    tris[1].v[0] = {{0.85f, 0.85f, -0.5f}, c};
-    tris[1].v[1] = {{0.95f, 0.85f, -0.5f}, c};
-    tris[1].v[2] = {{0.95f, 0.95f, -0.5f}, c};
-    DrawInput in;
-    in.triangles = tris;
-    in.mvp = Mat4::identity();
-    in.backface_cull = false;
-    in.draw_id = 4;
-    in.state.stencil_test = true;
-    in.state.stencil_ref = 7;
-    in.state.stencil_pass_op = StencilOp::Replace;
-    DrawStats stats =
-        renderDraw(s, vp, in, RenderFilter{}, &touched, &grid);
-    ASSERT_GT(stats.frags_written, 0u);
+    big[0].v[0] = {{-0.9f, -0.9f, 0.2f}, c};
+    big[0].v[1] = {{-0.1f, 0.7f, 0.2f}, c};
+    big[0].v[2] = {{0.5f, -0.9f, 0.2f}, c};
+    big[1].v[0] = {{-1.0f, 1.0f, 0.2f}, c};
+    big[1].v[1] = {{-0.9f, 1.0f, 0.2f}, c};
+    big[1].v[2] = {{-1.0f, 0.9f, 0.2f}, c};
+    DrawInput opaque;
+    opaque.triangles = big;
+    opaque.mvp = Mat4::identity();
+    opaque.backface_cull = false;
+    opaque.draw_id = 4;
+    opaque.state.stencil_test = true;
+    opaque.state.stencil_ref = 7;
+    opaque.state.stencil_pass_op = StencilOp::Replace;
+    ASSERT_GT(renderDraw(s, vp, opaque, RenderFilter{}, nullptr, &grid)
+                  .frags_written,
+              0u);
 
-    const Surface fresh(vp.width, vp.height);
-    int flagged = 0;
-    for (std::uint8_t t : touched)
-        flagged += t;
-    ASSERT_GT(flagged, 1);
-    ASSERT_LT(flagged, grid.tileCount());
-    ASSERT_NE(s.contentHash(), fresh.contentHash());
+    std::vector<Triangle> glass(2);
+    Color tint{0.1f, 0.5f, 0.9f, 0.4f};
+    glass[0].v[0] = {{-0.3f, -0.5f, 0.1f}, tint};
+    glass[0].v[1] = {{0.2f, 0.9f, 0.1f}, tint};
+    glass[0].v[2] = {{0.7f, -0.5f, 0.1f}, tint};
+    glass[1].v[0] = {{0.9f, -0.9f, 0.1f}, tint};
+    glass[1].v[1] = {{1.0f, -0.9f, 0.1f}, tint};
+    glass[1].v[2] = {{1.0f, -1.0f, 0.1f}, tint};
+    DrawInput over;
+    over.triangles = glass;
+    over.mvp = Mat4::identity();
+    over.backface_cull = false;
+    over.draw_id = 5;
+    over.state.blend_op = BlendOp::Over;
+    over.state.depth_test = false;
+    over.state.depth_write = false;
+    ASSERT_GT(renderDraw(s, vp, over).frags_written, 0u);
+}
 
-    for (int tile = 0; tile < grid.tileCount(); ++tile)
-        if (touched[static_cast<std::size_t>(tile)])
-            s.clearRect(grid.tileRect(tile), Color(), 1.0f);
-    EXPECT_EQ(s.contentHash(), fresh.contentHash());
-    for (int y = 0; y < vp.height; ++y)
-        for (int x = 0; x < vp.width; ++x) {
+/** Expect every plane of @p s to hold the clear(@p c, @p z) state. */
+void
+expectClearState(const Surface &s, const Color &c, float z)
+{
+    Surface want(s.width(), s.height());
+    want.clear(c, z);
+    EXPECT_EQ(s.contentHash(), want.contentHash());
+    for (int b = 0; b < s.blocksX() * s.blocksY(); ++b)
+        ASSERT_EQ(s.blockMask(b), 0u) << "block " << b;
+    for (int y = 0; y < s.height(); ++y)
+        for (int x = 0; x < s.width(); ++x) {
             ASSERT_EQ(s.writerAt(x, y), noWriter) << x << "," << y;
             ASSERT_EQ(s.stencilAt(x, y), 0) << x << "," << y;
         }
 }
 
-INSTANTIATE_TEST_SUITE_P(Jobs, TouchedTileResetTest,
-                         ::testing::Values(1u, 4u),
+class BlockResetTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(BlockResetTest, ResetRestoresTheClearState)
+{
+    // The invariant Surface::reset relies on: every pixel a draw changes
+    // has its bit set in its 8x8 block's written mask, so clearing the
+    // blocks with a nonzero mask restores the held clear value — at any
+    // job count (the serial and the binned raster paths). Neither side of
+    // the viewport is a multiple of 8, so edge blocks are partial.
+    ScopedJobs jobs(GetParam());
+    Viewport vp{203, 117};
+    TileGrid grid(vp.width, vp.height, 1, 32);
+    Surface s(vp.width, vp.height);
+    ASSERT_EQ(s.blocksX(), 26);
+    ASSERT_EQ(s.blocksY(), 15);
+    drawOpaqueStencilAndOver(s, vp, grid);
+
+    // Mask layout: bit (y & 7) * 8 + (x & 7) of block
+    // (y >> 3) * blocksX + (x >> 3), and never a bit outside the surface.
+    int written_blocks = 0;
+    for (int b = 0; b < s.blocksX() * s.blocksY(); ++b) {
+        std::uint64_t mask = s.blockMask(b);
+        written_blocks += mask != 0;
+        for (int bit = 0; bit < 64; ++bit) {
+            int x = (b % s.blocksX()) * 8 + bit % 8;
+            int y = (b / s.blocksX()) * 8 + bit / 8;
+            bool set = (mask >> bit) & 1U;
+            if (x >= vp.width || y >= vp.height)
+                ASSERT_FALSE(set) << x << "," << y;
+            else
+                ASSERT_EQ(set, s.writtenAt(x, y)) << x << "," << y;
+        }
+    }
+    ASSERT_GT(written_blocks, 1);
+    ASSERT_LT(written_blocks, s.blocksX() * s.blocksY());
+    ASSERT_TRUE(s.writtenAt(0, 0));
+    ASSERT_TRUE(s.writtenAt(vp.width - 1, vp.height - 1));
+    ASSERT_NE(s.contentHash(), Surface(vp.width, vp.height).contentHash());
+
+    // The held value (Surface(w, h) holds Color(), 1.0f): written blocks
+    // only.
+    s.reset(Color(), 1.0f);
+    expectClearState(s, Color(), 1.0f);
+
+    // Another value takes the full-clear path, which then becomes the
+    // held value for the next sparse reset.
+    const Color sky{0.2f, 0.4f, 0.6f, 1.0f};
+    drawOpaqueStencilAndOver(s, vp, grid);
+    s.reset(sky, 0.75f);
+    expectClearState(s, sky, 0.75f);
+    drawOpaqueStencilAndOver(s, vp, grid);
+    s.reset(sky, 0.75f);
+    expectClearState(s, sky, 0.75f);
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, BlockResetTest, ::testing::Values(1u, 4u),
                          [](const auto &info) {
                              return "jobs" + std::to_string(info.param);
                          });
 
-TEST(SurfaceCache, HandsOutFreshSurfacesAndDropsOtherSizes)
+TEST(SurfaceCache, TakeIsLastInFirstOutAndDropsOtherSizes)
 {
     SurfaceCache cache;
     Surface a = cache.take(8, 4);
     EXPECT_EQ(a.contentHash(), Surface(8, 4).contentHash());
-    EXPECT_EQ(cache.size(), 0u);
-
-    // A surface given back in Surface(w, h) state is handed out again.
-    DrawStats st;
-    a.applyFragment(frag(1, 1, 0.5f), opaqueState(), 0, 0.5f, st);
-    a.clear(Color(), 1.0f);
-    const Color *pixels = a.color().data().data();
-    cache.give(std::move(a));
-    EXPECT_EQ(cache.size(), 1u);
     Surface b = cache.take(8, 4);
-    EXPECT_EQ(b.color().data().data(), pixels);
     EXPECT_EQ(cache.size(), 0u);
 
-    // A moved-from surface (its color taken by a result) reports 0x0 and
-    // is dropped, as is a surface of another size.
-    Image taken = std::move(b.color());
-    EXPECT_EQ(b.width(), 0);
-    EXPECT_EQ(b.height(), 0);
+    // The surface given back last is handed out first.
+    const Color *a_pixels = a.color().data().data();
+    const Color *b_pixels = b.color().data().data();
+    cache.give(std::move(a));
     cache.give(std::move(b));
+    EXPECT_EQ(cache.size(), 2u);
+    Surface first = cache.take(8, 4);
+    Surface second = cache.take(8, 4);
+    EXPECT_EQ(first.color().data().data(), b_pixels);
+    EXPECT_EQ(second.color().data().data(), a_pixels);
+    EXPECT_EQ(cache.size(), 0u);
+
+    // A surface whose color was taken by a result reports 0x0 and is
+    // dropped, as is a surface of another size.
+    Image taken = first.takeColor();
+    EXPECT_EQ(taken.width(), 8);
+    EXPECT_EQ(first.width(), 0);
+    EXPECT_EQ(first.height(), 0);
+    cache.give(std::move(first));
     cache.give(Surface(4, 8));
     EXPECT_EQ(cache.size(), 0u);
 
     // A take of another size drops what the cache held.
-    cache.give(cache.take(8, 4));
+    cache.give(std::move(second));
     EXPECT_EQ(cache.size(), 1u);
     Surface c = cache.take(16, 4);
     EXPECT_EQ(c.width(), 16);
     EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(SurfaceCache, AnyStateSurfacesAreResetBeforeTake)
+TEST(SurfaceCache, TakenSurfacesKeepTheirStateUntilReset)
 {
+    // The cache neither checks nor clears what it holds: the taker resets
+    // it, and the surface's own held clear value makes that exact.
     SurfaceCache cache;
-    Surface fresh(8, 4);
-    Surface clean = cache.take(8, 4);
-    Surface dirty = cache.takeAny(8, 4);
+    Surface dirty = cache.take(8, 4);
+    dirty.clear({0.5f, 0.5f, 0.5f, 1.0f}, 0.0f);
     DrawStats st;
-    dirty.applyFragment(frag(2, 3, 0.5f), opaqueState(), 5, 0.5f, st);
-    const Color *clean_pixels = clean.color().data().data();
-    const Color *dirty_pixels = dirty.color().data().data();
-    cache.give(std::move(clean));
-    cache.giveAny(std::move(dirty));
-    EXPECT_EQ(cache.size(), 2u);
+    dirty.applyFragment(frag(2, 3, 0.5f), opaqueState(DepthFunc::Always), 5,
+                        0.5f, st);
+    const std::uint64_t dirty_hash = dirty.contentHash();
+    cache.give(std::move(dirty));
 
-    // takeAny() prefers the any-state surface; take() the clean one.
-    Surface any = cache.takeAny(8, 4);
-    EXPECT_EQ(any.color().data().data(), dirty_pixels);
-    cache.giveAny(std::move(any));
-    Surface first = cache.take(8, 4);
-    EXPECT_EQ(first.color().data().data(), clean_pixels);
-
-    // With only an any-state surface left, take() clears it first.
-    Surface second = cache.take(8, 4);
-    EXPECT_EQ(second.color().data().data(), dirty_pixels);
-    EXPECT_EQ(second.contentHash(), fresh.contentHash());
-    EXPECT_EQ(second.writerAt(2, 3), noWriter);
-    EXPECT_EQ(cache.size(), 0u);
+    Surface again = cache.take(8, 4);
+    EXPECT_EQ(again.contentHash(), dirty_hash);
+    EXPECT_EQ(again.writerAt(2, 3), 5u);
+    again.reset(Color(), 1.0f);
+    EXPECT_EQ(again.contentHash(), Surface(8, 4).contentHash());
+    EXPECT_EQ(again.writerAt(2, 3), noWriter);
 }
 
 TEST(Blend, OverMatchesFormula)

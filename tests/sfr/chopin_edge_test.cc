@@ -155,6 +155,27 @@ distributesGroup(const FrameTrace &trace, const SystemConfig &cfg,
     return false;
 }
 
+/**
+ * Whether a distributed opaque group whose sub-images reset to
+ * (Color(), 1.0f) is followed, as the next distributed group, by a
+ * transparent Over group: Over's identity is that same value, so its reset
+ * takes the sparse path over the blocks the opaque group wrote.
+ */
+bool
+opaqueThenOver(const FrameTrace &trace, const SystemConfig &cfg)
+{
+    bool after_opaque = false;
+    for (const CompositionGroup &g : formGroups(trace)) {
+        if (!groupDistributable(g, cfg.group_threshold))
+            continue;
+        if (after_opaque && g.blend_op == BlendOp::Over)
+            return true;
+        after_opaque = !g.transparent() &&
+                       (!g.depth_test || prefersSmaller(g.depth_func));
+    }
+    return false;
+}
+
 /** A result on a thread of fresh caches; its image goes to @p image. */
 FrameResult
 runOnFreshThread(const SystemConfig &cfg, const FrameTrace &trace,
@@ -182,13 +203,21 @@ expectSameResult(const FrameResult &got, const FrameResult &want,
 TEST(ChopinEdge, SurfaceReuseAcrossRunsMatchesAFreshThread)
 {
     // A run takes its render targets and sub-images from the thread's
-    // surface cache and resets sub-images only over touched tiles. A runs
-    // again after B, which used another viewport (the cache is dropped
-    // and refilled), twice the GPUs, and groups whose clear values differ
-    // from the default (reversed-Z depth 0, Multiply color 1s).
+    // surface cache and resets them only over the blocks written since
+    // their last clear. A runs again after B, which used another viewport
+    // (the cache is dropped and refilled), twice the GPUs, and groups
+    // whose clear values differ from the default (reversed-Z depth 0,
+    // Multiply color 1s). C runs twice in a row on a viewport whose sides
+    // are not multiples of 8, and holds an opaque group followed by an
+    // Over group with the same clear value: a reset that skipped a plane
+    // of the opaque group's blocks would leave color under the Over
+    // group's blends.
     FrameTrace a = generateBenchmark("ut3", 32);
     FrameTrace b = multiplyTrace();
+    FrameTrace c = generateBenchmark("cry", 8);
     ASSERT_NE(a.viewport.width, b.viewport.width);
+    ASSERT_EQ(c.viewport.width, 282);
+    ASSERT_EQ(c.viewport.height, 212);
     SystemConfig cfg_a;
     cfg_a.num_gpus = 8;
     SystemConfig cfg_b;
@@ -215,6 +244,17 @@ TEST(ChopinEdge, SurfaceReuseAcrossRunsMatchesAFreshThread)
                   .differing_pixels,
               0);
 
+    SystemConfig cfg_c;
+    cfg_c.num_gpus = 8;
+    cfg_c.group_threshold = 1; // distribute C's Over group too
+    ASSERT_TRUE(opaqueThenOver(c, cfg_c));
+    Image fresh_c_image, ref_c_image;
+    const FrameResult fresh_c = runOnFreshThread(cfg_c, c, &fresh_c_image);
+    runScheme(Scheme::SingleGpu, cfg_c, c, nullptr, &ref_c_image);
+    EXPECT_EQ(compareImages(fresh_c_image, ref_c_image, 1e-5f)
+                  .differing_pixels,
+              0);
+
     ScopedJobs restore(1);
     for (unsigned jobs : {1u, 4u}) {
         setGlobalJobs(jobs);
@@ -225,6 +265,10 @@ TEST(ChopinEdge, SurfaceReuseAcrossRunsMatchesAFreshThread)
                          fresh_b, "B after A" + at);
         expectSameResult(runScheme(Scheme::ChopinCompSched, cfg_a, a),
                          fresh_a, "A after B" + at);
+        expectSameResult(runScheme(Scheme::ChopinCompSched, cfg_c, c),
+                         fresh_c, "C after A" + at);
+        expectSameResult(runScheme(Scheme::ChopinCompSched, cfg_c, c),
+                         fresh_c, "C after C" + at);
     }
 }
 

@@ -40,6 +40,27 @@ TEST(CompPayload, GranularityOrdersTraffic)
     EXPECT_LE(subtiles.cycles, tiles.cycles);
 }
 
+TEST(CompPayload, CompositionBytesArePinned)
+{
+    // Exact traffic per payload mode on a viewport whose sides are not
+    // multiples of 8 or 64 (cry at 1/8 scale is 282x212), so partial 8x8
+    // blocks and partial tiles both count. The values were recorded with
+    // an independent count that scanned every pixel of every touched tile.
+    static const FrameTrace cry = generateBenchmark("cry", 8);
+    ASSERT_EQ(cry.viewport.width, 282);
+    ASSERT_EQ(cry.viewport.height, 212);
+    auto bytes = [](CompPayload payload) {
+        SystemConfig cfg;
+        cfg.num_gpus = 8;
+        cfg.comp_payload = payload;
+        return runChopin(cfg, cry, {DrawPolicy::FewestRemaining, true, false})
+            .traffic.ofClass(TrafficClass::Composition);
+    };
+    EXPECT_EQ(bytes(CompPayload::WrittenPixels), 1334560u);
+    EXPECT_EQ(bytes(CompPayload::SubTiles), 1890752u);
+    EXPECT_EQ(bytes(CompPayload::FullTiles), 6335680u);
+}
+
 TEST(CompPayload, GranularityNeverChangesTheImage)
 {
     FrameResult pixels = runWithPayload(CompPayload::WrittenPixels);
