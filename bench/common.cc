@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "stats/metrics.hh"
 #include "stats/tracer.hh"
 #include "util/check.hh"
 
@@ -202,6 +203,26 @@ std::string
 percent(double ratio)
 {
     return formatDouble(ratio * 100.0, 1) + "%";
+}
+
+void
+checkIdentical(const FrameResult &a, const FrameResult &b,
+               const std::string &what)
+{
+    CHOPIN_CHECK(a.scheme == b.scheme, what, ": scheme differs");
+    const FrameAccounting &fa = a;
+    const FrameAccounting &fb = b;
+    if (!metricsEqual(fa, fb)) {
+        std::string names;
+        for (const std::string &n : metricsDiff(fa, fb))
+            names += (names.empty() ? "" : ", ") + n;
+        CHOPIN_CHECK(false, what, ": metrics differ: ", names);
+    }
+    CHOPIN_CHECK(a.draw_timings.size() == b.draw_timings.size(), what,
+                 ": draw-timing record count differs");
+    for (std::size_t i = 0; i < a.draw_timings.size(); ++i)
+        CHOPIN_CHECK(metricsEqual(a.draw_timings[i], b.draw_timings[i]),
+                     what, ": draw timing record ", i, " differs");
 }
 
 } // namespace chopin::bench

@@ -29,6 +29,7 @@
 #ifndef CHOPIN_BENCH_COMMON_HH
 #define CHOPIN_BENCH_COMMON_HH
 
+#include <chrono>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -120,6 +121,28 @@ double gmean(const std::vector<double> &values);
 
 /** A percentage string with one decimal, e.g. "23.4%". */
 std::string percent(double ratio);
+
+/** Wall-clock nanoseconds of one invocation of @p fn (steady clock). */
+template <typename Fn>
+double
+elapsedNs(Fn &&fn)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    fn();
+    auto t1 = std::chrono::steady_clock::now();
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+}
+
+/**
+ * Assert that two runs of one configuration are bit-identical: the scheme,
+ * every registered metric (frame_hash and content_hash included; the
+ * failure names the ones that differ) and every draw timing. @p what
+ * names the configuration and the two runs in the failure message.
+ */
+void checkIdentical(const FrameResult &a, const FrameResult &b,
+                    const std::string &what);
 
 } // namespace chopin::bench
 

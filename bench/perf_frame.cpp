@@ -5,10 +5,11 @@
  * Renders each Table III benchmark frame under SingleGpu, Duplication,
  * GPUpd, CHOPIN and CHOPIN+CompSched twice: once with --jobs=1 (serial) and
  * once with the requested job count. For every (benchmark, scheme) pair it
- * asserts that the frame hash, full surface content hash, simulated cycle
- * count and all functional totals are identical — host parallelism must not
- * perturb the simulation — and reports ns/frame, Mtris/s and the
- * serial-over-parallel speedup, plus the geometric-mean speedup.
+ * asserts that every registered metric (frame hash, full surface content
+ * hash, simulated cycle count, functional totals) and every draw timing
+ * are identical — host parallelism must not perturb the simulation — and
+ * reports ns/frame, Mtris/s and the serial-over-parallel speedup, plus the
+ * geometric-mean speedup.
  *
  * Unlike the fig* harnesses this measures *host* wall-clock time
  * (std::chrono), not simulated cycles; the simulated results are the
@@ -36,7 +37,6 @@
 #include "common.hh"
 
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -50,42 +50,11 @@
 namespace
 {
 
-using chopin::FrameAccounting;
-using chopin::FrameResult;
+using chopin::bench::elapsedNs;
 
-/** Wall-clock nanoseconds of one invocation of @p fn (steady clock). */
-template <typename Fn>
-double
-elapsedNs(Fn &&fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    auto t1 = std::chrono::steady_clock::now();
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-}
-
-/** Assert that two runs of one configuration are simulation-identical:
- *  every registered metric, not a hand-picked subset. */
-void
-checkIdentical(const FrameResult &serial, const FrameResult &parallel,
-               const std::string &what)
-{
-    const FrameAccounting &a = serial;
-    const FrameAccounting &b = parallel;
-    if (chopin::metricsEqual(a, b))
-        return;
-    std::string names;
-    for (const std::string &n : chopin::metricsDiff(a, b))
-        names += (names.empty() ? "" : ", ") + n;
-    CHOPIN_CHECK(false, what, ": metrics differ between --jobs=1 and "
-                 "--jobs=N: ", names);
-}
-
-/** Same idea for a whole stream run: every registered stream metric (which
- *  folds the per-frame hashes and completion ticks via the sequence hash)
- *  must be identical between the serial and parallel legs. */
+/** Assert that the serial and parallel legs of a stream run are identical:
+ *  every registered stream metric, which folds the per-frame hashes and
+ *  completion ticks via the sequence hash. */
 void
 checkIdenticalStream(const chopin::SequenceResult &serial,
                      const chopin::SequenceResult &parallel,
@@ -311,7 +280,8 @@ main(int argc, char **argv)
                 m.ns_parallel = std::min(m.ns_parallel, ns);
             }
 
-            checkIdentical(serial, parallel, name + "/" + m.scheme);
+            checkIdentical(serial, parallel,
+                           name + "/" + m.scheme + " (--jobs=1 vs --jobs=N)");
             m.speedup = m.ns_parallel > 0.0 ? m.ns_serial / m.ns_parallel
                                             : 1.0;
             m.frame_hash = serial.frame_hash;

@@ -32,13 +32,11 @@
 
 #include "common.hh"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 
 #include <sys/resource.h> // getrusage(), for the peak resident set
 
-#include "stats/metrics.hh"
 #include "stats/report.hh"
 
 namespace
@@ -245,44 +243,6 @@ buildSuite(const std::vector<std::string> &benches, unsigned gpus)
     return figures;
 }
 
-template <typename Fn>
-double
-elapsedNs(const Fn &fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    auto t1 = std::chrono::steady_clock::now();
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-}
-
-/** Assert two results of one scenario are bit-identical: every registered
- *  metric (via the registry, frame_hash and content_hash included), plus
- *  scheme and draw timings. */
-void
-checkIdentical(const FrameResult &a, const FrameResult &b,
-               const std::string &what)
-{
-    CHOPIN_CHECK(a.scheme == b.scheme, what, ": scheme differs");
-    if (!metricsEqual(static_cast<const FrameAccounting &>(a),
-                      static_cast<const FrameAccounting &>(b))) {
-        std::string names;
-        for (const std::string &n :
-             metricsDiff(static_cast<const FrameAccounting &>(a),
-                         static_cast<const FrameAccounting &>(b)))
-            names += (names.empty() ? "" : ", ") + n;
-        CHOPIN_CHECK(false, what,
-                     ": metrics differ between cold and warm runs: ",
-                     names);
-    }
-    CHOPIN_CHECK(a.draw_timings.size() == b.draw_timings.size(),
-                 what, ": draw-timing record count differs");
-    for (std::size_t i = 0; i < a.draw_timings.size(); ++i)
-        CHOPIN_CHECK(metricsEqual(a.draw_timings[i], b.draw_timings[i]),
-                     what, ": draw timing record ", i, " differs");
-}
-
 /** Peak resident set of this process so far, in MB. */
 double
 peakRssMb()
@@ -413,7 +373,7 @@ main(int argc, char **argv)
         for (const Scenario &s : fig.grid) {
             checkIdentical(cold.run(s), warm.run(s),
                            fig.name + "/" + s.bench + "/" +
-                               toString(s.scheme));
+                               toString(s.scheme) + " (cold vs warm)");
             verified += 1;
         }
 

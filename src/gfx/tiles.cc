@@ -65,17 +65,4 @@ TileGrid::overlappedGpus(const ScreenTriangle &tri) const
     return mask;
 }
 
-void
-TileGrid::overlappedTiles(const ScreenTriangle &tri,
-                          std::vector<int> &out) const
-{
-    out.clear();
-    PixelRect r = tri.boundsRect(w, h);
-    if (r.empty())
-        return;
-    for (int tyi = r.y0 / tile; tyi <= r.y1 / tile; ++tyi)
-        for (int txi = r.x0 / tile; txi <= r.x1 / tile; ++txi)
-            out.push_back(tyi * tx + txi);
-}
-
 } // namespace chopin

@@ -109,10 +109,6 @@ class TileGrid
      */
     std::uint64_t overlappedGpus(const ScreenTriangle &tri) const;
 
-    /** Tiles overlapped by the triangle's bounding box (linear indices). */
-    void overlappedTiles(const ScreenTriangle &tri,
-                         std::vector<int> &out) const;
-
   private:
     int w = 0;
     int h = 0;

@@ -200,19 +200,4 @@ GpuPipeline::attachTracer(Tracer *t, unsigned gpu_index)
     frag_track = t->track(prefix + "frag");
 }
 
-void
-GpuPipeline::reset()
-{
-    geom.reset();
-    raster.reset();
-    frag.reset();
-    lastDone = 0;
-    trisSubmitted = 0;
-    geomProgress.clear();
-    geomTrisDone = 0;
-    timings.clear();
-    pending.clear();
-    pendingHead = 0;
-}
-
 } // namespace chopin

@@ -121,9 +121,6 @@ class GpuPipeline
      *  pending). */
     const std::vector<DrawTiming> &drawTimings() const;
 
-    /** Forget all state (new frame / new scheme). */
-    void reset();
-
     /**
      * Attach (or detach, with nullptr) a timeline tracer as GPU
      * @p gpu_index: every draw then emits one span per pipeline stage on

@@ -141,22 +141,4 @@ Interconnect::checkDrained(Tick frame_end)
                  "; latest delivery at ", last_delivery);
 }
 
-void
-Interconnect::reset()
-{
-    seq.assertHeld("Interconnect::reset");
-    for (Resource &r : egress)
-        r.reset();
-    for (Resource &r : ingress)
-        r.reset();
-    for (Resource &r : links)
-        r.reset();
-    stats = TrafficStats{};
-    std::fill(link_bytes.begin(), link_bytes.end(), Bytes{0});
-    delivered_bytes = 0;
-    last_delivery = 0;
-    inflight.reset();
-    pending_deliveries = {};
-}
-
 } // namespace chopin

@@ -195,9 +195,6 @@ class Interconnect
      */
     void checkDrained(Tick frame_end);
 
-    /** Clear port state and traffic counters (new frame). */
-    void reset();
-
     /**
      * Attach (or detach, with nullptr) a timeline tracer. Every transfer
      * then emits a span on its source GPU's egress track, named by traffic

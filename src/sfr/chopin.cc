@@ -61,6 +61,9 @@ struct ChopinRun
     /** Blocks per tile edge: the merges and the payload count walk each
      *  tile's 8x8 blocks. */
     int tile_blocks = 0;
+    /** Blocks per row and per column of every sub-image. */
+    int blocks_x = 0;
+    int blocks_y = 0;
     Tick t = 0;
 
     ChopinRun(SimContext &sim_ctx, const ChopinOptions &run_opts)
@@ -78,6 +81,8 @@ struct ChopinRun
         subs.reserve(ctx.cfg.num_gpus);
         for (unsigned g = 0; g < ctx.cfg.num_gpus; ++g)
             subs.push_back(cache.take(ctx.vp.width, ctx.vp.height));
+        blocks_x = subs.front().blocksX();
+        blocks_y = subs.front().blocksY();
     }
 
     /** Half-open block ranges [bx0, bx1) x [by0, by1) of tile @p tile. */
@@ -92,24 +97,8 @@ struct ChopinRun
         const TileGrid &grid = ctx.grid;
         int bx0 = (tile % grid.tilesX()) * tile_blocks;
         int by0 = (tile / grid.tilesX()) * tile_blocks;
-        const Surface &any = subs.front();
-        return {bx0, std::min(bx0 + tile_blocks, any.blocksX()), by0,
-                std::min(by0 + tile_blocks, any.blocksY())};
-    }
-
-    /**
-     * Reset every sub-image to color @p c and depth @p z (no writer,
-     * unwritten, stencil 0). Surface::reset clears only the written blocks
-     * when the value matches the one a sub-image holds, and clears it whole
-     * otherwise: reversed-Z groups clear depth to 0, Multiply groups clear
-     * color to 1s.
-     */
-    void
-    resetSubs(const Color &c, float z)
-    {
-        // Per-GPU fan-out: worker g writes only subs[g].
-        globalPool().parallelFor(subs.size(),
-                                 [&](std::size_t g) { subs[g].reset(c, z); });
+        return {bx0, std::min(bx0 + tile_blocks, blocks_x), by0,
+                std::min(by0 + tile_blocks, blocks_y)};
     }
 
     /** Give the sub-images back to the thread's surface cache as they are
@@ -129,42 +118,50 @@ struct ChopinRun
     {
         for (std::uint32_t i = group.first_draw; i <= group.last_draw; ++i) {
             const DrawCommand &cmd = ctx.trace.draws[i];
-            Surface &target = ctx.rts[cmd.state.render_target];
-            PartitionedDraw part = renderDrawPartitioned(
-                target, ctx.vp, ctx.drawInput(cmd), ctx.grid,
-                GeometryCharging::Duplicated,
-                &ctx.rt_dirty[cmd.state.render_target]);
-            for (unsigned g = 0; g < ctx.cfg.num_gpus; ++g) {
-                ctx.totals += part.per_gpu[g];
-                ctx.pipes[g].submitDraw(
-                    cmd.id, ctx.applyCullRetention(part.per_gpu[g]), t);
-            }
+            ctx.submitPartitioned(
+                cmd.id,
+                ctx.renderPartitioned(cmd, GeometryCharging::Duplicated), t);
             t += ctx.cfg.timing.driver_issue_cycles;
         }
     }
 
     /**
-     * Run a distributed group's draws into the per-GPU sub-images, every
-     * GPU at once, in three phases:
+     * Distributed execution of one group (Fig. 7, right branch): spread
+     * the draws over the GPUs, render one sub-image per GPU, compose.
      *
      *  1. Assign the draws in draw order, submitting each one's geometry
      *     half at its issue time. Opaque draws go where sched.schedule()
      *     says; it reads only geometry progress, so it sees what it would
      *     see if each earlier draw had been submitted whole. Transparent
      *     draws take contiguous equal-triangle chunks, which preserve the
-     *     input order: GPU g renders draws strictly earlier than GPU g+1
-     *     (Fig. 7).
-     *  2. Render each GPU's draws, in draw order, into its sub-image on a
-     *     pool worker. Rendering is purely functional: it touches neither
-     *     the scheduler nor the pipes.
+     *     input order: GPU g renders draws strictly earlier than GPU g+1.
+     *  2. On one pool worker per GPU: reset the GPU's sub-image to the
+     *     group's clear value, render the GPU's draws into it in draw
+     *     order, and count its composition payload. Every GPU resets, drawn
+     *     to or not, because the merges read every GPU's masks. The work is
+     *     purely functional: it touches neither the scheduler nor the pipes.
      *  3. In draw order, add each draw's stats to the totals and submit
      *     its back end, which claims the same stage times and emits the
      *     same spans as submitDraw().
+     *  4. Time the composition from each GPU's readiness, then merge the
+     *     sub-images into the render target.
      */
     void
-    runDistributedDraws(const CompositionGroup &group)
+    runDistributed(const CompositionGroup &group)
     {
         unsigned n = ctx.cfg.num_gpus;
+        bool transparent = group.transparent();
+        // Opaque sub-images clear to depth 0 under a depth test that
+        // prefers larger values (reversed Z); transparent ones clear to the
+        // blend operator's identity.
+        Color clear_color =
+            transparent ? transparentIdentity(group.blend_op) : Color();
+        float clear_z = (!transparent && group.depth_test &&
+                         !prefersSmaller(group.depth_func))
+                            ? 0.0f
+                            : 1.0f;
+
+        Tick group_start = t;
         std::uint32_t count = group.drawCount();
         std::vector<GpuId> assignment(count, 0);
         std::uint64_t chunk_share =
@@ -174,8 +171,8 @@ struct ChopinRun
         for (std::uint32_t k = 0; k < count; ++k) {
             const DrawCommand &cmd = ctx.trace.draws[group.first_draw + k];
             std::uint64_t tris = cmd.triangleCount();
-            GpuId g = group.transparent() ? chunk : sched.schedule(tris, t);
-            if (group.transparent()) {
+            GpuId g = transparent ? chunk : sched.schedule(tris, t);
+            if (transparent) {
                 sched.accountExternal(g, tris);
                 acc += tris;
                 if (acc >= chunk_share * (chunk + 1) && chunk + 1 < n)
@@ -192,33 +189,6 @@ struct ChopinRun
             t += ctx.cfg.timing.driver_issue_cycles;
         }
 
-        std::vector<DrawStats> draw_stats(count);
-        // Worker g writes only subs[g] and the stats slots of its own
-        // draws. ctx is aliased only for the immutable trace/viewport
-        // inputs; render workers never reach ctx.tracer.
-        globalPool().parallelFor(n, [&](std::size_t g) {
-            for (std::uint32_t k = 0; k < count; ++k) {
-                if (assignment[k] != g)
-                    continue;
-                const DrawCommand &cmd =
-                    ctx.trace.draws[group.first_draw + k];
-                draw_stats[k] =
-                    renderDraw(subs[g], ctx.vp, ctx.drawInput(cmd));
-            }
-        });
-
-        for (std::uint32_t k = 0; k < count; ++k) {
-            ctx.totals += draw_stats[k];
-            ctx.pipes[assignment[k]].submitBackEnd(
-                ctx.applyCullRetention(draw_stats[k]));
-        }
-    }
-
-    /** Build the composition job skeleton from per-GPU readiness. */
-    CompositionJob
-    makeJob(Tick group_start) const
-    {
-        unsigned n = ctx.cfg.num_gpus;
         CompositionJob job;
         job.num_gpus = n;
         job.screen_pixels = static_cast<std::uint64_t>(ctx.vp.width) *
@@ -227,120 +197,136 @@ struct ChopinRun
         job.pair_pixels.assign(static_cast<std::size_t>(n) * n, 0);
         job.self_pixels.assign(n, 0);
         job.subimage_pixels.assign(n, 0);
+        std::vector<DrawStats> draw_stats(count);
+        // Worker g writes only subs[g], the stats slots of its own draws
+        // and row g of the job. ctx is aliased only for the immutable
+        // cfg/grid/trace/viewport inputs; workers never reach ctx.tracer.
+        globalPool().parallelFor(n, [&](std::size_t gi) {
+            unsigned g = static_cast<unsigned>(gi);
+            subs[g].reset(clear_color, clear_z);
+            for (std::uint32_t k = 0; k < count; ++k) {
+                if (assignment[k] != g)
+                    continue;
+                const DrawCommand &cmd =
+                    ctx.trace.draws[group.first_draw + k];
+                draw_stats[k] =
+                    renderDraw(subs[g], ctx.vp, ctx.drawInput(cmd));
+            }
+            countPayload(g, job);
+        });
+
+        for (std::uint32_t k = 0; k < count; ++k) {
+            ctx.totals += draw_stats[k];
+            ctx.pipes[assignment[k]].submitBackEnd(
+                ctx.applyCullRetention(draw_stats[k]));
+        }
         for (unsigned g = 0; g < n; ++g)
-            job.ready[g] =
-                std::max(group_start, ctx.pipes[g].finishTime());
-        return job;
+            job.ready[g] = std::max(group_start, ctx.pipes[g].finishTime());
+        Tick max_ready =
+            *std::max_element(job.ready.begin(), job.ready.end());
+
+        // Asynchronous adjacent (tree) composition of transparent groups
+        // is part of base CHOPIN (Section III-B): associativity lets
+        // adjacent sub-images merge as soon as both are available, with or
+        // without the composition scheduler. The left-fold chain remains
+        // in the library as the serial-sink reference baseline.
+        CompositionTiming timing;
+        if (transparent)
+            timing = composeTransparentTree(job, ctx.net, ctx.cfg.timing);
+        else if (opts.comp_scheduler)
+            timing = composeOpaqueScheduled(job, ctx.net, ctx.cfg.timing);
+        else
+            timing = composeOpaqueDirectSend(job, ctx.net, ctx.cfg.timing);
+        if (timing.end > max_ready) {
+            ctx.breakdown.composition += timing.end - max_ready;
+            if (ctx.tracer != nullptr)
+                ctx.tracer->span(ctx.phase_track, "chopin",
+                                 transparent ? "compose transparent"
+                                             : "compose opaque",
+                                 max_ready, timing.end,
+                                 {{"pair_pixels", job.pairPixels()}});
+        }
+        t = std::max(t, timing.end);
+
+        if (transparent)
+            foldTransparent(group);
+        else
+            selectOpaque(group);
     }
 
     /**
-     * Fill the job's pixel counts. Untouched 64x64 tiles are filtered out
-     * entirely (Section VI-C: "we also filter out the screen tiles that
-     * are not rendered by any draw command"); within a touched tile the
-     * payload moves at DMA-burst granularity — any 8x8 sub-tile containing
-     * a written pixel is transferred whole. This sits between idealized
-     * per-pixel masking and naive whole-tile transfers, matching how ROPs
-     * move compressed tile storage. The sub-tiles are the sub-images' 8x8
-     * written-mask blocks, so every count comes from the masks.
+     * Count GPU @p g's composition payload into row g of @p job. Untouched
+     * 64x64 tiles are filtered out entirely (Section VI-C: "we also filter
+     * out the screen tiles that are not rendered by any draw command");
+     * within a touched tile the payload moves at DMA-burst granularity —
+     * any 8x8 sub-tile containing a written pixel is transferred whole.
+     * This sits between idealized per-pixel masking and naive whole-tile
+     * transfers, matching how ROPs move compressed tile storage. The
+     * sub-tiles are the sub-images' 8x8 written-mask blocks, so every count
+     * comes from the masks.
      */
     void
-    fillJobPixels(CompositionJob &job)
+    countPayload(unsigned g, CompositionJob &job) const
     {
         unsigned n = ctx.cfg.num_gpus;
         CompPayload payload = ctx.cfg.comp_payload;
         int width = ctx.vp.width;
         int height = ctx.vp.height;
-        // Per-GPU fan-out: GPU g's pass reads only subs[g] and accumulates
-        // only into job slots indexed by g (subimage/self/pair rows), so
-        // the counts are schedule-invariant. ctx is captured by reference
-        // but the workers read only ctx.cfg/grid/vp (set up before the
-        // fan-out, immutable during it) and never reach ctx.tracer.
-        globalPool().parallelFor(n, [&](std::size_t gi) {
-            unsigned g = static_cast<unsigned>(gi);
-            const Surface &sub = subs[g];
-            for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
-                TileBlocks tb = blocksOf(tile);
-                std::uint64_t px = 0;
-                bool touched = false;
-                for (int by = tb.by0; by < tb.by1; ++by) {
-                    for (int bx = tb.bx0; bx < tb.bx1; ++bx) {
-                        std::uint64_t mask =
-                            sub.blockMask(by * sub.blocksX() + bx);
-                        if (mask == 0)
-                            continue;
-                        touched = true;
-                        if (payload == CompPayload::WrittenPixels) {
-                            px += static_cast<std::uint64_t>(
-                                std::popcount(mask));
-                        } else if (payload == CompPayload::SubTiles) {
-                            int x0 = bx * Surface::blockEdge;
-                            int y0 = by * Surface::blockEdge;
-                            px += static_cast<std::uint64_t>(
-                                      std::min(Surface::blockEdge,
-                                               width - x0)) *
-                                  static_cast<std::uint64_t>(
-                                      std::min(Surface::blockEdge,
-                                               height - y0));
-                        }
+        const Surface &sub = subs[g];
+        for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
+            TileBlocks tb = blocksOf(tile);
+            std::uint64_t px = 0;
+            bool touched = false;
+            for (int by = tb.by0; by < tb.by1; ++by) {
+                for (int bx = tb.bx0; bx < tb.bx1; ++bx) {
+                    std::uint64_t mask =
+                        sub.blockMask(by * sub.blocksX() + bx);
+                    if (mask == 0)
+                        continue;
+                    touched = true;
+                    if (payload == CompPayload::WrittenPixels) {
+                        px += static_cast<std::uint64_t>(std::popcount(mask));
+                    } else if (payload == CompPayload::SubTiles) {
+                        int x0 = bx * Surface::blockEdge;
+                        int y0 = by * Surface::blockEdge;
+                        px += static_cast<std::uint64_t>(
+                                  std::min(Surface::blockEdge, width - x0)) *
+                              static_cast<std::uint64_t>(
+                                  std::min(Surface::blockEdge, height - y0));
                     }
                 }
-                if (!touched)
-                    continue;
-                if (payload == CompPayload::FullTiles)
-                    px = static_cast<std::uint64_t>(
-                        ctx.grid.pixelsInTile(tile));
-                GpuId owner = ctx.grid.ownerOfTile(
-                    tile % ctx.grid.tilesX(), tile / ctx.grid.tilesX());
-                job.subimage_pixels[g] += px;
-                if (owner == g)
-                    job.self_pixels[g] += px;
-                else
-                    job.pair_pixels[static_cast<std::size_t>(g) * n +
-                                    owner] += px;
             }
-        });
+            if (!touched)
+                continue;
+            if (payload == CompPayload::FullTiles)
+                px = static_cast<std::uint64_t>(ctx.grid.pixelsInTile(tile));
+            GpuId owner = ctx.grid.ownerOfTile(tile % ctx.grid.tilesX(),
+                                               tile / ctx.grid.tilesX());
+            job.subimage_pixels[g] += px;
+            if (owner == g)
+                job.self_pixels[g] += px;
+            else
+                job.pair_pixels[static_cast<std::size_t>(g) * n + owner] +=
+                    px;
+        }
     }
 
-    /** Distributed execution of an opaque group. */
+    /**
+     * Functional composition of an opaque group: out-of-order per-pixel
+     * selection. The order of sub-images is irrelevant (opaqueWins is a
+     * total order). Parallel over tiles, walking each GPU's written bits in
+     * ascending GPU order: tiles are disjoint pixel sets (and, with tile
+     * sizes a multiple of 8, disjoint mask words of the target), and each
+     * pixel still folds the sub-images in ascending GPU order, so the
+     * result (and each dirty flag, single-writer per tile) is
+     * schedule-invariant.
+     */
     void
-    runDistributedOpaque(const CompositionGroup &group)
+    selectOpaque(const CompositionGroup &group)
     {
         unsigned n = ctx.cfg.num_gpus;
         DepthFunc eff_func =
             group.depth_test ? group.depth_func : DepthFunc::Always;
-        float clear_z =
-            (group.depth_test && !prefersSmaller(group.depth_func)) ? 0.0f
-                                                                    : 1.0f;
-        resetSubs(Color(), clear_z);
-
-        Tick group_start = t;
-        runDistributedDraws(group);
-
-        CompositionJob job = makeJob(group_start);
-        fillJobPixels(job);
-        Tick max_ready =
-            *std::max_element(job.ready.begin(), job.ready.end());
-
-        CompositionTiming timing =
-            opts.comp_scheduler
-                ? composeOpaqueScheduled(job, ctx.net, ctx.cfg.timing)
-                : composeOpaqueDirectSend(job, ctx.net, ctx.cfg.timing);
-        ctx.breakdown.composition +=
-            timing.end > max_ready ? timing.end - max_ready : 0;
-        if (ctx.tracer != nullptr && timing.end > max_ready)
-            ctx.tracer->span(ctx.phase_track, "chopin", "compose opaque",
-                             max_ready, timing.end,
-                             {{"pair_pixels", job.pairPixels()}});
-        t = std::max(t, timing.end);
-
-        // Functional composition: out-of-order per-pixel selection. The
-        // order of sub-images is irrelevant (opaqueWins is a total order).
-        // Parallel over tiles, walking each GPU's written bits in
-        // ascending GPU order: tiles are disjoint pixel sets (and, with
-        // tile sizes a multiple of 8, disjoint mask words of the target),
-        // and each pixel still folds the sub-images in ascending GPU
-        // order, so the result (and each dirty flag, single-writer per
-        // tile) is schedule-invariant.
         Surface &target = ctx.rts[group.render_target];
         std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
         bool write_depth = group.depth_test && group.depth_write;
@@ -379,43 +365,19 @@ struct ChopinRun
             });
     }
 
-    /** Distributed execution of a transparent group. */
+    /**
+     * Functional composition of a transparent group: fold the sub-images
+     * front (highest GPU id = latest draws) to back, then apply over the
+     * background. Tile-parallel over the union of the GPUs' written bits:
+     * the fold is per-pixel (front-to-back over the sub-images) and tiles
+     * are disjoint, so each tile merges independently with bit-identical
+     * float sequences.
+     */
     void
-    runDistributedTransparent(const CompositionGroup &group)
+    foldTransparent(const CompositionGroup &group)
     {
         unsigned n = ctx.cfg.num_gpus;
         BlendOp op = group.blend_op;
-        resetSubs(transparentIdentity(op), 1.0f);
-
-        Tick group_start = t;
-        runDistributedDraws(group);
-
-        CompositionJob job = makeJob(group_start);
-        fillJobPixels(job);
-        Tick max_ready =
-            *std::max_element(job.ready.begin(), job.ready.end());
-
-        // Asynchronous adjacent (tree) composition is part of base CHOPIN
-        // (Section III-B): associativity lets adjacent sub-images merge as
-        // soon as both are available, with or without the composition
-        // scheduler. The left-fold chain remains in the library as the
-        // serial-sink reference baseline.
-        CompositionTiming timing =
-            composeTransparentTree(job, ctx.net, ctx.cfg.timing);
-        ctx.breakdown.composition +=
-            timing.end > max_ready ? timing.end - max_ready : 0;
-        if (ctx.tracer != nullptr && timing.end > max_ready)
-            ctx.tracer->span(ctx.phase_track, "chopin",
-                             "compose transparent", max_ready, timing.end,
-                             {{"pair_pixels", job.pairPixels()}});
-        t = std::max(t, timing.end);
-
-        // Functional merge: fold sub-images front (highest GPU id = latest
-        // draws) to back, then apply over the background.
-        // Tile-parallel over the union of the GPUs' written bits: the fold
-        // is per-pixel (front-to-back over the sub-images) and tiles are
-        // disjoint, so each tile merges independently with bit-identical
-        // float sequences.
         Surface &target = ctx.rts[group.render_target];
         std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
         const Color identity = transparentIdentity(op);
@@ -470,27 +432,15 @@ runChopin(const SystemConfig &cfg, const FrameTrace &trace,
     std::uint64_t groups_distributed = 0;
     std::uint64_t tris_distributed = 0;
 
-    std::uint32_t bound_rt = 0;
-    std::uint32_t bound_db = 0;
     for (const CompositionGroup &group : groups) {
-        if (group.render_target != bound_rt ||
-            group.depth_buffer != bound_db) {
-            Tick sync_start = std::max(run.t, ctx.maxPipeFinish());
-            run.t = ctx.syncBroadcast(bound_rt, sync_start);
-            bound_rt = group.render_target;
-            bound_db = group.depth_buffer;
-        }
-
+        run.t = ctx.bind(group.render_target, group.depth_buffer, run.t);
         if (!groupDistributable(group, cfg.group_threshold)) {
             run.runDuplicated(group);
             continue;
         }
         groups_distributed += 1;
         tris_distributed += group.triangles;
-        if (group.transparent())
-            run.runDistributedTransparent(group);
-        else
-            run.runDistributedOpaque(group);
+        run.runDistributed(group);
     }
 
     Tick end = std::max(run.t, ctx.maxPipeFinish());

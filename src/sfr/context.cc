@@ -54,6 +54,36 @@ SimContext::maxPipeFinish() const
 }
 
 Tick
+SimContext::bind(std::uint32_t rt, std::uint32_t db, Tick t)
+{
+    if (rt == bound_rt && db == bound_db)
+        return t;
+    // All GPUs must drain before the consistency broadcast.
+    Tick end = syncBroadcast(bound_rt, std::max(t, maxPipeFinish()));
+    bound_rt = rt;
+    bound_db = db;
+    return end;
+}
+
+PartitionedDraw
+SimContext::renderPartitioned(const DrawCommand &cmd,
+                              GeometryCharging charging)
+{
+    std::uint32_t rt = cmd.state.render_target;
+    return renderDrawPartitioned(rts[rt], vp, drawInput(cmd), grid, charging,
+                                 &rt_dirty[rt]);
+}
+
+void
+SimContext::submitPartitioned(DrawId id, const PartitionedDraw &part, Tick t)
+{
+    for (unsigned g = 0; g < cfg.num_gpus; ++g) {
+        totals += part.per_gpu[g];
+        pipes[g].submitDraw(id, applyCullRetention(part.per_gpu[g]), t);
+    }
+}
+
+Tick
 SimContext::syncBroadcast(std::uint32_t rt, Tick now)
 {
     CHOPIN_CHECK(rt < rts.size());

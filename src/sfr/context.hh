@@ -1,11 +1,12 @@
 /**
  * @file
  * Shared per-run simulation state: tile grid, interconnect, per-GPU
- * pipelines, render-target surfaces and dirty-tile tracking, plus the
- * render-target consistency broadcast every SFR scheme performs
- * (Section V: "every time the application switches to a new render target
- * or depth buffer ... each GPU broadcasts the latest content of its current
- * render targets and depth buffers to other GPUs").
+ * pipelines, render-target surfaces and dirty-tile tracking, plus the two
+ * steps every SFR scheme shares: the render-target switch with its
+ * consistency broadcast (Section V: "every time the application switches
+ * to a new render target or depth buffer ... each GPU broadcasts the
+ * latest content of its current render targets and depth buffers to other
+ * GPUs"), and the partitioned draw that charges each GPU its own tiles.
  */
 
 #ifndef CHOPIN_SFR_CONTEXT_HH
@@ -67,14 +68,28 @@ class SimContext
     Tick maxPipeFinish() const;
 
     /**
-     * Broadcast each GPU's owned dirty tiles of render target @p rt
-     * (color + depth) to all other GPUs, starting at @p now. Clears the
-     * dirty flags and accounts the stall into breakdown.sync.
+     * Bind render target @p rt and depth buffer @p db for the draws the
+     * driver issues from time @p t on. The bound pair starts at (0, 0).
+     * Switching to another pair first drains every GPU, then broadcasts
+     * the old render target's dirty tiles (Section V).
      *
-     * @return the completion time (== @p now when nothing is dirty or the
-     *         system has a single GPU).
+     * @return the time the next draw may issue: @p t when the pair is
+     *         already bound, else the end of the broadcast, which starts
+     *         at max(@p t, maxPipeFinish()).
      */
-    Tick syncBroadcast(std::uint32_t rt, Tick now);
+    Tick bind(std::uint32_t rt, std::uint32_t db, Tick t);
+
+    /**
+     * Render @p cmd into its render target, charging each fragment to the
+     * GPU that owns its tile and geometry per @p charging, and flag the
+     * tiles it writes dirty for the next broadcast.
+     */
+    PartitionedDraw renderPartitioned(const DrawCommand &cmd,
+                                      GeometryCharging charging);
+
+    /** Add @p part's per-GPU stats to the totals and submit draw @p id
+     *  to every GPU's pipeline at @p t. */
+    void submitPartitioned(DrawId id, const PartitionedDraw &part, Tick t);
 
     /**
      * Apply Fig. 16's hypothetical-workload knob: move
@@ -100,6 +115,21 @@ class SimContext
      * run that throws before finish() simply drops them.
      */
     FrameResult finish(Scheme scheme, Tick end, Image *image);
+
+  private:
+    /**
+     * Broadcast each GPU's owned dirty tiles of render target @p rt
+     * (color + depth) to all other GPUs, starting at @p now. Clears the
+     * dirty flags and accounts the stall into breakdown.sync.
+     *
+     * @return the completion time (== @p now when nothing is dirty, when
+     *         @p rt is the back buffer or the system has a single GPU).
+     */
+    Tick syncBroadcast(std::uint32_t rt, Tick now);
+
+    /** The render target and depth buffer bind() holds bound. */
+    std::uint32_t bound_rt = 0;
+    std::uint32_t bound_db = 0;
 };
 
 } // namespace chopin

@@ -9,9 +9,6 @@
  * This is the paper's normalization baseline for every evaluation figure.
  */
 
-#include <algorithm>
-
-#include "gfx/renderer.hh"
 #include "sfr/context.hh"
 #include "sfr/schemes.hh"
 
@@ -25,29 +22,11 @@ runDuplication(const SystemConfig &cfg, const FrameTrace &trace,
     SimContext ctx(cfg, trace, cfg.link, tracer);
 
     Tick t = 0;
-    std::uint32_t bound_rt = 0;
-    std::uint32_t bound_db = 0;
     for (const DrawCommand &cmd : trace.draws) {
-        if (cmd.state.render_target != bound_rt ||
-            cmd.state.depth_buffer != bound_db) {
-            // All GPUs must drain before the consistency broadcast.
-            Tick sync_start = std::max(t, ctx.maxPipeFinish());
-            t = ctx.syncBroadcast(bound_rt, sync_start);
-            bound_rt = cmd.state.render_target;
-            bound_db = cmd.state.depth_buffer;
-        }
-
-        Surface &target = ctx.rts[cmd.state.render_target];
-        PartitionedDraw part = renderDrawPartitioned(
-            target, ctx.vp, ctx.drawInput(cmd), ctx.grid,
-            GeometryCharging::Duplicated,
-            &ctx.rt_dirty[cmd.state.render_target]);
-
-        for (unsigned g = 0; g < cfg.num_gpus; ++g) {
-            ctx.totals += part.per_gpu[g];
-            ctx.pipes[g].submitDraw(
-                cmd.id, ctx.applyCullRetention(part.per_gpu[g]), t);
-        }
+        t = ctx.bind(cmd.state.render_target, cmd.state.depth_buffer, t);
+        ctx.submitPartitioned(
+            cmd.id, ctx.renderPartitioned(cmd, GeometryCharging::Duplicated),
+            t);
         t += cfg.timing.driver_issue_cycles;
     }
 

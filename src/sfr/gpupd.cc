@@ -57,8 +57,6 @@ runGpupd(const SystemConfig &cfg, const FrameTrace &trace, bool ideal,
     }
 
     Tick t = 0; // driver cursor
-    std::uint32_t bound_rt = 0;
-    std::uint32_t bound_db = 0;
 
     for (const Batch &batch : batches) {
         // --- Phase 1: cooperative projection (parallel). ------------------
@@ -86,12 +84,8 @@ runGpupd(const SystemConfig &cfg, const FrameTrace &trace, bool ideal,
         parts.reserve(batch.last - batch.first + 1);
         std::vector<Bytes> ids_to(n, 0); // primitive-ID bytes per destination
         for (std::uint32_t i = batch.first; i <= batch.last; ++i) {
-            const DrawCommand &cmd = trace.draws[i];
-            Surface &target = ctx.rts[cmd.state.render_target];
-            parts.push_back(renderDrawPartitioned(
-                target, ctx.vp, ctx.drawInput(cmd), ctx.grid,
-                GeometryCharging::OwnersOnly,
-                &ctx.rt_dirty[cmd.state.render_target]));
+            parts.push_back(ctx.renderPartitioned(
+                trace.draws[i], GeometryCharging::OwnersOnly));
             for (unsigned g = 0; g < n; ++g)
                 ids_to[g] += parts.back().owned_tris[g] * 4; // 4B per ID
         }
@@ -129,19 +123,9 @@ runGpupd(const SystemConfig &cfg, const FrameTrace &trace, bool ideal,
         }
         for (std::uint32_t i = batch.first; i <= batch.last; ++i) {
             const DrawCommand &cmd = trace.draws[i];
-            if (cmd.state.render_target != bound_rt ||
-                cmd.state.depth_buffer != bound_db) {
-                Tick sync_start = std::max(issue, ctx.maxPipeFinish());
-                issue = ctx.syncBroadcast(bound_rt, sync_start);
-                bound_rt = cmd.state.render_target;
-                bound_db = cmd.state.depth_buffer;
-            }
-            const PartitionedDraw &part = parts[i - batch.first];
-            for (unsigned g = 0; g < n; ++g) {
-                ctx.totals += part.per_gpu[g];
-                ctx.pipes[g].submitDraw(
-                    cmd.id, ctx.applyCullRetention(part.per_gpu[g]), issue);
-            }
+            issue = ctx.bind(cmd.state.render_target, cmd.state.depth_buffer,
+                             issue);
+            ctx.submitPartitioned(cmd.id, parts[i - batch.first], issue);
             issue += cfg.timing.driver_issue_cycles;
         }
 

@@ -67,27 +67,19 @@ runSequence(const SequenceOptions &opt, const SystemConfig &cfg,
     // simulation, so frames run concurrently under the sweep engine's
     // outer-parallel/inner-serial split (ScenarioRegion); results land in
     // pre-sized slots and the stream arithmetic below is serial, so the
-    // outcome is bit-identical at any job count. A worker materializes
-    // its frames into one scratch trace — the shared geometry is copied
-    // once per worker, never once per frame.
+    // outcome is bit-identical at any job count. A chunk materializes its
+    // frames into one scratch trace — the shared geometry is copied once
+    // per chunk, never once per frame. At one job or one chunk the pool
+    // runs the chunks inline on this thread, in index order.
     result.frames.resize(n);
-    ThreadPool &pool = globalPool();
-    if (pool.jobs() <= 1 || n <= 1) {
+    globalPool().parallelFor(n, 1, [&](std::size_t begin, std::size_t end) {
+        ScenarioRegion region;
         FrameTrace scratch;
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t i = begin; i < end; ++i) {
             seq.materializeFrame(i, scratch);
             result.frames[i] = runScheme(scheme, group_cfg, scratch);
         }
-    } else {
-        pool.parallelFor(n, 1, [&](std::size_t begin, std::size_t end) {
-            ScenarioRegion region;
-            FrameTrace scratch;
-            for (std::size_t i = begin; i < end; ++i) {
-                seq.materializeFrame(i, scratch);
-                result.frames[i] = runScheme(scheme, group_cfg, scratch);
-            }
-        });
-    }
+    });
 
     // Stream scheduling: frame i pipelines onto group i % groups, which
     // renders its frames back to back; with carry-over the group frees

@@ -55,14 +55,6 @@ class Resource
         return _freeAt;
     }
 
-    /** Forget all state (new frame / new simulation). */
-    void
-    reset()
-    {
-        _freeAt = 0;
-        _busyTime = 0;
-    }
-
   private:
     Tick _freeAt = 0;
     Tick _busyTime = 0;
@@ -102,9 +94,6 @@ class Occupancy
         CHOPIN_ASSERT(n <= count, "occupancy below zero: ", count, " - ", n);
         count -= n;
     }
-
-    /** Forget all occupants (new frame / new simulation). */
-    void reset() { count = 0; }
 
   private:
     std::uint64_t cap;

@@ -113,15 +113,6 @@ TEST(Tiles, OffscreenTriangleTouchesNothing)
     EXPECT_EQ(grid.overlappedGpus(triAt(600, 600, 700, 600, 600, 700)), 0u);
 }
 
-TEST(Tiles, OverlappedTilesList)
-{
-    TileGrid grid(256, 256, 2, 64);
-    std::vector<int> tiles;
-    grid.overlappedTiles(triAt(0, 0, 100, 0, 0, 100), tiles);
-    // bbox covers tiles (0..1, 0..1).
-    EXPECT_EQ(tiles.size(), 4u);
-}
-
 TEST(Tiles, BlockedAssignmentIsContiguous)
 {
     TileGrid grid(1280, 1024, 8, 64, TileAssignment::Blocked);

@@ -161,18 +161,6 @@ TEST(Pipeline, TimingRecordsKeptPerDraw)
     EXPECT_GT(pipe.drawTimings()[0].geom_cycles, 0u);
 }
 
-TEST(Pipeline, ResetClearsState)
-{
-    TimingParams p;
-    GpuPipeline pipe(p);
-    pipe.submitDraw(0, statsOf(100), 0);
-    pipe.reset();
-    EXPECT_EQ(pipe.finishTime(), 0u);
-    EXPECT_EQ(pipe.submittedTris(), 0u);
-    EXPECT_EQ(pipe.geomBusy(), 0u);
-    EXPECT_TRUE(pipe.drawTimings().empty());
-}
-
 /** One draw of a randomized sequence: its pipe, stats and issue time. */
 struct RandomDraw
 {

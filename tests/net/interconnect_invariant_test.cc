@@ -79,20 +79,6 @@ TEST(InterconnectInvariants, UndrainedTrafficReportsThroughHandler)
     }
 }
 
-TEST(InterconnectInvariants, ResetClearsInvariantBookkeeping)
-{
-    Interconnect net(2, {64.0, 50});
-    net.transfer(0, 1, 6400, 0, TrafficClass::Sync);
-    net.transfer(1, 0, 320, 0, TrafficClass::Composition);
-    net.reset();
-    EXPECT_EQ(net.linkBytes(0, 1), 0u);
-    EXPECT_EQ(net.linkBytes(1, 0), 0u);
-    EXPECT_EQ(net.lastDelivery(), 0u);
-    EXPECT_EQ(net.inflightAfter(0), 0u);
-    net.checkFlowConservation();
-    net.checkDrained(0);
-}
-
 TEST(InterconnectInvariantsDeath, CheckDrainedAbortsUnderDefaultHandler)
 {
     Interconnect net(2, {64.0, 10});

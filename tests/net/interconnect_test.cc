@@ -100,15 +100,6 @@ TEST(Interconnect, TrafficAccountedPerClass)
     EXPECT_EQ(t.ofClass(TrafficClass::Scheduler), 0u);
 }
 
-TEST(Interconnect, ResetClearsPortsAndTraffic)
-{
-    Interconnect net(2, {64.0, 0});
-    net.transfer(0, 1, 6400, 0, TrafficClass::Sync);
-    net.reset();
-    EXPECT_EQ(net.traffic().total, 0u);
-    EXPECT_EQ(net.transfer(0, 1, 64, 0, TrafficClass::Sync), 1u);
-}
-
 #if CHOPIN_CHECK_LEVEL >= 1
 TEST(InterconnectDeath, SelfTransferPanics)
 {

@@ -39,15 +39,6 @@ TEST(Resource, ZeroDurationClaim)
     EXPECT_EQ(r.busyTime(), 0u);
 }
 
-TEST(Resource, ResetClears)
-{
-    Resource r;
-    r.claim(0, 42);
-    r.reset();
-    EXPECT_EQ(r.freeAt(), 0u);
-    EXPECT_EQ(r.busyTime(), 0u);
-}
-
 #if CHOPIN_CHECK_LEVEL >= 1
 TEST(ResourceDeath, ClaimOverflowingTickHorizonPanics)
 {
@@ -75,8 +66,6 @@ TEST(Occupancy, UnboundedByDefault)
     Occupancy occ;
     occ.acquire(1u << 20);
     EXPECT_EQ(occ.used(), 1u << 20);
-    occ.reset();
-    EXPECT_TRUE(occ.empty());
 }
 
 #if CHOPIN_CHECK_LEVEL >= 1
