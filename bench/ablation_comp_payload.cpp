@@ -17,6 +17,7 @@ main(int argc, char **argv)
 
     Harness h("Ablation: composition payload granularity", 1);
     h.parse(argc, argv);
+    h.prefetch("ablation_comp_payload");
 
     const CompPayload payloads[] = {CompPayload::WrittenPixels,
                                     CompPayload::SubTiles,

@@ -16,22 +16,9 @@ main(int argc, char **argv)
 
     Harness h("Ablation: GPUpd batching and runahead", 1);
     h.parse(argc, argv);
+    h.prefetch("ablation_gpupd_batching");
 
     const std::uint64_t batches[] = {512, 2048, 8192};
-    {
-        SystemConfig base;
-        base.num_gpus = h.gpus();
-        std::vector<SystemConfig> cfgs;
-        for (std::uint64_t batch : batches)
-            for (bool runahead : {false, true}) {
-                SystemConfig cfg = base;
-                cfg.gpupd_batch_prims = batch;
-                cfg.gpupd_runahead = runahead;
-                cfgs.push_back(cfg);
-            }
-        h.prefetch(h.grid({Scheme::Duplication}, {base}));
-        h.prefetch(h.grid({Scheme::Gpupd}, cfgs));
-    }
     TextTable table({"batch prims", "runahead", "gmean speedup vs dup",
                      "gmean distribution share"});
     for (std::uint64_t batch : batches) {

@@ -17,6 +17,7 @@ main(int argc, char **argv)
 
     Harness h("Ablation: tile-to-GPU assignment policy", 1);
     h.parse(argc, argv);
+    h.prefetch("ablation_tile_assignment");
 
     const std::vector<Scheme> schemes = {Scheme::Duplication, Scheme::Gpupd,
                                          Scheme::ChopinCompSched};
@@ -28,7 +29,6 @@ main(int argc, char **argv)
         cfg.tile_assignment = policy;
         cfgs.push_back(cfg);
     }
-    h.prefetch(h.grid(schemes, cfgs));
 
     TextTable table({"assignment", "scheme", "gmean speedup vs interleaved "
                                              "duplication"});

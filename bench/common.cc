@@ -25,7 +25,197 @@ programName(int argc, char **argv)
     return slash == std::string::npos ? prog : prog.substr(slash + 1);
 }
 
+SystemConfig
+baseConfig(unsigned gpus)
+{
+    SystemConfig cfg;
+    cfg.num_gpus = gpus;
+    return cfg;
+}
+
 } // namespace
+
+std::vector<FigureSpec>
+figureSuite(const std::vector<std::string> &benches, unsigned gpus)
+{
+    std::vector<FigureSpec> figures;
+    auto cross = [&](const std::string &name,
+                     const std::vector<Scheme> &schemes,
+                     const std::vector<SystemConfig> &cfgs) {
+        FigureSpec fig{name, {}};
+        for (const SystemConfig &cfg : cfgs)
+            for (Scheme s : schemes)
+                for (const std::string &bench : benches)
+                    fig.grid.push_back(Scenario{s, bench, cfg});
+        figures.push_back(std::move(fig));
+    };
+    // A sensitivity sweep normalized to Duplication at the base config:
+    // the swept schemes at every variant, Duplication only at the base.
+    auto sweepVsBase = [&](const std::string &name,
+                           const std::vector<Scheme> &schemes,
+                           const std::vector<SystemConfig> &cfgs) {
+        cross(name, schemes, cfgs);
+        for (const std::string &bench : benches)
+            figures.back().grid.push_back(
+                Scenario{Scheme::Duplication, bench, baseConfig(gpus)});
+    };
+
+    const std::vector<Scheme> main_schemes = {
+        Scheme::Duplication,     Scheme::Gpupd, Scheme::GpupdIdeal,
+        Scheme::Chopin,          Scheme::ChopinCompSched,
+        Scheme::ChopinIdeal};
+
+    // Fig. 2 / Table III: duplication across GPU counts (1 covers the
+    // single-GPU geometry-fraction bars).
+    {
+        std::vector<SystemConfig> cfgs;
+        for (unsigned g : {1u, 2u, 4u, 8u})
+            cfgs.push_back(baseConfig(g));
+        cross("fig02_geometry_fraction", {Scheme::Duplication}, cfgs);
+    }
+    // Fig. 4: GPUpd overheads across GPU counts.
+    {
+        std::vector<SystemConfig> cfgs;
+        for (unsigned g : {2u, 4u, 8u})
+            cfgs.push_back(baseConfig(g));
+        cross("fig04_gpupd_overheads", {Scheme::Gpupd}, cfgs);
+    }
+    cross("fig05_ideal_speedup",
+          {Scheme::Duplication, Scheme::Gpupd, Scheme::GpupdIdeal,
+           Scheme::ChopinIdeal},
+          {baseConfig(gpus)});
+    cross("fig08_round_robin",
+          {Scheme::Duplication, Scheme::Gpupd, Scheme::ChopinRoundRobin,
+           Scheme::ChopinCompSched},
+          {baseConfig(gpus)});
+    cross("fig09_triangle_rate", {Scheme::SingleGpu}, {baseConfig(gpus)});
+    cross("fig13_performance", main_schemes, {baseConfig(gpus)});
+    cross("fig14_breakdown",
+          {Scheme::Duplication, Scheme::Gpupd, Scheme::Chopin,
+           Scheme::ChopinCompSched, Scheme::ChopinIdeal},
+          {baseConfig(gpus)});
+    cross("fig15_depth_test",
+          {Scheme::Duplication, Scheme::ChopinCompSched},
+          {baseConfig(gpus)});
+    // Fig. 16: hypothetical-workload cull-retention sweep on ut3, or on
+    // the one benchmark --bench selects.
+    {
+        FigureSpec fig{"fig16_culled_retention", {}};
+        std::string bench =
+            benches.size() == 1 ? benches[0] : std::string("ut3");
+        fig.grid.push_back(
+            Scenario{Scheme::Duplication, bench, baseConfig(gpus)});
+        for (int pct = 0; pct <= 40; pct += 5) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.cull_retention = static_cast<double>(pct) / 100.0;
+            fig.grid.push_back(
+                Scenario{Scheme::ChopinCompSched, bench, cfg});
+        }
+        figures.push_back(std::move(fig));
+    }
+    cross("fig17_composition_traffic", {Scheme::ChopinCompSched},
+          {baseConfig(gpus)});
+    // Fig. 18: scheduler-feedback staleness sweep.
+    {
+        std::vector<SystemConfig> cfgs;
+        for (std::uint64_t interval : {1ull, 256ull, 512ull, 1024ull}) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.sched_update_tris = interval;
+            cfgs.push_back(cfg);
+        }
+        sweepVsBase("fig18_sched_update_freq",
+                    {Scheme::Chopin, Scheme::ChopinCompSched,
+                     Scheme::ChopinIdeal},
+                    cfgs);
+    }
+    // Fig. 19: GPU-count sweep.
+    {
+        std::vector<SystemConfig> cfgs;
+        for (unsigned g : {2u, 4u, 8u, 16u})
+            cfgs.push_back(baseConfig(g));
+        cross("fig19_gpu_count", main_schemes, cfgs);
+    }
+    // Fig. 20: bandwidth sweep.
+    {
+        std::vector<SystemConfig> cfgs;
+        for (double bw : {16.0, 32.0, 64.0, 128.0}) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.link.bytes_per_cycle = bw;
+            cfgs.push_back(cfg);
+        }
+        cross("fig20_bandwidth", main_schemes, cfgs);
+    }
+    // Fig. 21: latency sweep.
+    {
+        std::vector<SystemConfig> cfgs;
+        for (Tick lat : {Tick{100}, Tick{200}, Tick{300}, Tick{400}}) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.link.latency = lat;
+            cfgs.push_back(cfg);
+        }
+        cross("fig21_latency", main_schemes, cfgs);
+    }
+    // Fig. 22: composition-group threshold sweep.
+    {
+        std::vector<SystemConfig> cfgs;
+        for (std::uint64_t thr : {256ull, 1024ull, 4096ull, 16384ull}) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.group_threshold = thr;
+            cfgs.push_back(cfg);
+        }
+        sweepVsBase("fig22_group_threshold",
+                    {Scheme::Chopin, Scheme::ChopinCompSched,
+                     Scheme::ChopinIdeal},
+                    cfgs);
+    }
+    // Scheduler-traffic table (Section VI-D).
+    {
+        std::vector<SystemConfig> cfgs;
+        for (std::uint64_t interval : {1ull, 1024ull}) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.sched_update_tris = interval;
+            cfgs.push_back(cfg);
+        }
+        cross("table_sched_traffic", {Scheme::ChopinCompSched}, cfgs);
+    }
+    // Ablations: composition payload, GPUpd batching, tile assignment.
+    {
+        std::vector<SystemConfig> cfgs;
+        for (CompPayload p :
+             {CompPayload::WrittenPixels, CompPayload::SubTiles,
+              CompPayload::FullTiles}) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.comp_payload = p;
+            cfgs.push_back(cfg);
+        }
+        sweepVsBase("ablation_comp_payload", {Scheme::ChopinCompSched},
+                    cfgs);
+    }
+    {
+        std::vector<SystemConfig> cfgs;
+        for (std::uint64_t batch : {512ull, 2048ull, 8192ull})
+            for (bool runahead : {false, true}) {
+                SystemConfig cfg = baseConfig(gpus);
+                cfg.gpupd_batch_prims = batch;
+                cfg.gpupd_runahead = runahead;
+                cfgs.push_back(cfg);
+            }
+        sweepVsBase("ablation_gpupd_batching", {Scheme::Gpupd}, cfgs);
+    }
+    {
+        std::vector<SystemConfig> cfgs;
+        for (TileAssignment policy :
+             {TileAssignment::Interleaved, TileAssignment::Blocked}) {
+            SystemConfig cfg = baseConfig(gpus);
+            cfg.tile_assignment = policy;
+            cfgs.push_back(cfg);
+        }
+        cross("ablation_tile_assignment",
+              {Scheme::Duplication, Scheme::Gpupd, Scheme::ChopinCompSched},
+              cfgs);
+    }
+    return figures;
+}
 
 Harness::Harness(std::string description, int default_scale)
     : cli(description), desc(std::move(description)),
@@ -50,13 +240,19 @@ Harness::Harness(std::string description, int default_scale)
     cli.addFlag("cache", cache_env == nullptr ? "" : cache_env,
                 "on-disk result cache directory shared across harnesses "
                 "(default: CHOPIN_RESULT_CACHE env; empty = disabled)");
+}
+
+Harness::~Harness() = default;
+
+void
+Harness::addTraceOutFlag()
+{
     cli.addFlag("trace-out", "",
                 "write a Chrome trace-event JSON timeline of one sample "
                 "scenario (open in Perfetto or chrome://tracing; "
                 "empty = off)");
+    trace_out_flag = true;
 }
-
-Harness::~Harness() = default;
 
 void
 Harness::parse(int argc, char **argv)
@@ -87,9 +283,11 @@ Harness::parse(int argc, char **argv)
                  "--sweep-jobs must be in [0, 1024], got ", sweep_jobs);
 
     // Output paths fail fast, before any simulation runs.
-    std::string trace_out = cli.getString("trace-out");
-    if (!trace_out.empty())
-        checkWritablePath(trace_out, "--trace-out");
+    if (trace_out_flag) {
+        std::string trace_out = cli.getString("trace-out");
+        if (!trace_out.empty())
+            checkWritablePath(trace_out, "--trace-out");
+    }
 
     std::string bench = cli.getString("bench");
     if (bench == "all") {
@@ -118,39 +316,32 @@ Harness::trace(const std::string &bench)
     return sweep->trace(bench);
 }
 
+void
+Harness::prefetch(const std::string &name)
+{
+    CHOPIN_CHECK(sweep != nullptr, "Harness::prefetch() before parse()");
+    for (const FigureSpec &fig : figureSuite(benches, gpu_count)) {
+        if (fig.name == name) {
+            figure = name;
+            sweep->prefetch(fig.grid);
+            return;
+        }
+    }
+    CHOPIN_CHECK(false, "no figureSuite() entry is named '", name, "'");
+}
+
 const FrameResult &
 Harness::run(Scheme scheme, const std::string &bench,
              const SystemConfig &cfg)
 {
-    CHOPIN_CHECK(sweep != nullptr, "Harness::run() before parse()");
-    return sweep->run(scheme, bench, cfg);
-}
-
-void
-Harness::prefetch(const std::vector<Scenario> &grid_scenarios)
-{
-    CHOPIN_CHECK(sweep != nullptr, "Harness::prefetch() before parse()");
-    sweep->prefetch(grid_scenarios);
-}
-
-std::vector<Scenario>
-Harness::grid(const std::vector<Scheme> &schemes,
-              const std::vector<SystemConfig> &cfgs) const
-{
-    std::vector<Scenario> out;
-    out.reserve(schemes.size() * cfgs.size() * benches.size());
-    for (const SystemConfig &cfg : cfgs)
-        for (Scheme s : schemes)
-            for (const std::string &name : benches)
-                out.push_back(Scenario{s, name, cfg});
-    return out;
-}
-
-SweepRunner &
-Harness::runner()
-{
-    CHOPIN_CHECK(sweep != nullptr, "Harness::runner() before parse()");
-    return *sweep;
+    CHOPIN_CHECK(!figure.empty(), "Harness::run() before prefetch()");
+    std::uint64_t hits = sweep->stats().memo_hits;
+    const FrameResult &r = sweep->run(scheme, bench, cfg);
+    CHOPIN_CHECK(sweep->stats().memo_hits == hits + 1, toString(scheme),
+                 " on ", bench, " at ", cfg.num_gpus,
+                 " GPUs is not in the grid this harness prefetched ('",
+                 figure, "' in figureSuite())");
+    return r;
 }
 
 void

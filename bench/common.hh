@@ -15,15 +15,18 @@
  *                  parallel)
  *   --cache=DIR    on-disk content-addressed result cache (default: the
  *                  CHOPIN_RESULT_CACHE environment variable; empty = off)
- *   --trace-out=F  write a Chrome trace-event JSON timeline of one sample
- *                  scenario (harnesses that support it call
- *                  writeTraceSample(); the path is validated up front)
  *
- * Harness::run() is backed by the sweep engine (core/sweep.hh): results
- * are memoized under the exhaustive scenario fingerprint — never a
- * hand-listed field subset — and shared through the optional disk cache.
- * Harnesses that know their whole grid up front call prefetch() once,
- * which executes every cell scenario-parallel before the first read.
+ * perf_frame and sweep_all also accept --trace-out=F (addTraceOutFlag()):
+ * a Chrome trace-event JSON timeline of one sample scenario, written by
+ * writeTraceSample(); the path is validated up front.
+ *
+ * figureSuite() is the one declaration of every figure's scenario grid.
+ * A simulating harness must call prefetch("<its name>") right after
+ * parse(): that executes its grid scenario-parallel on the sweep engine
+ * (core/sweep.hh), memoized under the exhaustive scenario fingerprint and
+ * shared through the optional disk cache. Every later run() must be a
+ * memo hit on that grid; a read outside it fails, so a report and its
+ * declared grid cannot drift apart. sweep_all runs the same suite.
  */
 
 #ifndef CHOPIN_BENCH_COMMON_HH
@@ -40,6 +43,21 @@
 
 namespace chopin::bench
 {
+
+/** One figure's declared scenario grid. */
+struct FigureSpec
+{
+    std::string name; ///< the harness binary that reports it
+    std::vector<Scenario> grid;
+};
+
+/**
+ * The whole evaluation suite, one FigureSpec per simulating harness, for
+ * the selected @p benches with @p gpus wherever a figure does not sweep
+ * the GPU count. The suite order is the row order of BENCH_sweep.json.
+ */
+std::vector<FigureSpec> figureSuite(const std::vector<std::string> &benches,
+                                    unsigned gpus);
 
 /** Parsed common options plus the underlying CommandLine. */
 class Harness
@@ -59,6 +77,9 @@ class Harness
         cli.addFlag(name, def, help);
     }
 
+    /** Register --trace-out before parse(); see writeTraceSample(). */
+    void addTraceOutFlag();
+
     /**
      * Parse and validate argv. Malformed values (e.g. --gpus=-1,
      * --scale=0) produce a "<prog>: error: ..." diagnostic and exit
@@ -74,25 +95,20 @@ class Harness
     /** Generate (and cache) the trace for @p bench at the run's scale. */
     const FrameTrace &trace(const std::string &bench);
 
-    /** Run (and cache) a scheme on a benchmark with this config. */
+    /**
+     * Execute the figureSuite() entry named @p name scenario-parallel
+     * before the first read. An unknown name fails.
+     */
+    void prefetch(const std::string &name);
+
+    /**
+     * The result of a scheme on a benchmark with this config. It must be
+     * a cell of the prefetched grid: a read the in-process memo does not
+     * already hold fails through the check layer (exit 2), naming the
+     * figure, scheme, benchmark and GPU count.
+     */
     const FrameResult &run(Scheme scheme, const std::string &bench,
                            const SystemConfig &cfg);
-
-    /**
-     * Execute a figure's whole grid scenario-parallel before the first
-     * read; every later run() against a grid cell is a memo hit.
-     */
-    void prefetch(const std::vector<Scenario> &grid);
-
-    /**
-     * Convenience grid builder: the cross product of @p schemes x the
-     * selected benchmarks for each config in @p cfgs.
-     */
-    std::vector<Scenario> grid(const std::vector<Scheme> &schemes,
-                               const std::vector<SystemConfig> &cfgs) const;
-
-    /** The underlying sweep engine (valid after parse()). */
-    SweepRunner &runner();
 
     /** Print the table, then its CSV block if --csv. */
     void emit(const TextTable &table) const;
@@ -102,7 +118,8 @@ class Harness
      * benchmark under @p cfg with the timeline tracer attached and write
      * the Chrome trace-event JSON. The traced run deliberately bypasses
      * the sweep engine: cached results carry no spans, and the recorder
-     * must observe a live simulation. No-op when the flag is empty.
+     * must observe a live simulation. No-op when the flag is empty;
+     * requires addTraceOutFlag().
      */
     void writeTraceSample(Scheme scheme, const SystemConfig &cfg);
 
@@ -113,6 +130,8 @@ class Harness
     int scale_div = 1;
     unsigned gpu_count = 8;
     std::vector<std::string> benches;
+    bool trace_out_flag = false;
+    std::string figure; ///< the prefetched figureSuite() entry
     std::unique_ptr<SweepRunner> sweep;
 };
 

@@ -18,6 +18,7 @@ main(int argc, char **argv)
               "duplication",
               1);
     h.parse(argc, argv);
+    h.prefetch("fig02_geometry_fraction");
 
     const unsigned gpu_counts[] = {1, 2, 4, 8};
     TextTable table({"benchmark", "1 GPU", "2 GPUs", "4 GPUs", "8 GPUs"});

@@ -17,6 +17,7 @@ main(int argc, char **argv)
     Harness h("Fig. 4: GPUpd primitive projection/distribution overheads",
               1);
     h.parse(argc, argv);
+    h.prefetch("fig04_gpupd_overheads");
 
     TextTable table({"benchmark", "gpus", "distribution", "projection",
                      "total overhead"});

@@ -16,6 +16,7 @@ main(int argc, char **argv)
 
     Harness h("Fig. 5: idealized speedups over primitive duplication", 1);
     h.parse(argc, argv);
+    h.prefetch("fig05_ideal_speedup");
 
     const Scheme schemes[] = {Scheme::Duplication, Scheme::Gpupd,
                               Scheme::GpupdIdeal, Scheme::ChopinIdeal};

@@ -16,6 +16,7 @@ main(int argc, char **argv)
 
     Harness h("Fig. 8: round-robin draw scheduling vs duplication", 1);
     h.parse(argc, argv);
+    h.prefetch("fig08_round_robin");
 
     // Columns: the paper's Fig. 8 trio, plus round-robin and balanced
     // scheduling under the composition scheduler, isolating the

@@ -16,18 +16,11 @@ main(int argc, char **argv)
 
     Harness h("Fig. 13: 8-GPU speedups over primitive duplication", 1);
     h.parse(argc, argv);
+    h.prefetch("fig13_performance");
 
     const Scheme schemes[] = {Scheme::Gpupd, Scheme::GpupdIdeal,
                               Scheme::Chopin, Scheme::ChopinCompSched,
                               Scheme::ChopinIdeal};
-    {
-        SystemConfig cfg;
-        cfg.num_gpus = h.gpus();
-        h.prefetch(h.grid({Scheme::Duplication, Scheme::Gpupd,
-                           Scheme::GpupdIdeal, Scheme::Chopin,
-                           Scheme::ChopinCompSched, Scheme::ChopinIdeal},
-                          {cfg}));
-    }
     TextTable table({"benchmark", "GPUpd", "IdealGPUpd", "CHOPIN",
                      "CHOPIN+CompSched", "IdealCHOPIN"});
     std::vector<std::vector<double>> speedups(std::size(schemes));

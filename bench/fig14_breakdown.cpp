@@ -18,6 +18,7 @@ main(int argc, char **argv)
               "duplication",
               1);
     h.parse(argc, argv);
+    h.prefetch("fig14_breakdown");
 
     const Scheme schemes[] = {Scheme::Duplication, Scheme::Gpupd,
                               Scheme::Chopin, Scheme::ChopinCompSched,

@@ -19,13 +19,8 @@ main(int argc, char **argv)
               "duplication",
               1);
     h.parse(argc, argv);
+    h.prefetch("fig15_depth_test");
 
-    {
-        SystemConfig cfg;
-        cfg.num_gpus = h.gpus();
-        h.prefetch(h.grid({Scheme::Duplication, Scheme::ChopinCompSched},
-                          {cfg}));
-    }
     TextTable table({"benchmark", "dup early-pass", "dup late-pass",
                      "chopin early-pass", "chopin late-pass",
                      "passing ratio", "shaded ratio"});

@@ -18,6 +18,7 @@ main(int argc, char **argv)
     Harness h("Fig. 16: speedup vs retained depth-culled fragments (ut3)",
               1);
     h.parse(argc, argv);
+    h.prefetch("fig16_culled_retention");
 
     std::string name =
         h.benchmarks().size() == 1 ? h.benchmarks()[0] : "ut3";

@@ -15,6 +15,7 @@ main(int argc, char **argv)
 
     Harness h("Fig. 17: composition traffic load (MB per frame)", 1);
     h.parse(argc, argv);
+    h.prefetch("fig17_composition_traffic");
 
     TextTable table({"benchmark", "composition MB", "sync MB",
                      "distributed groups", "distributed tris"});

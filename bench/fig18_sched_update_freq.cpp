@@ -16,22 +16,11 @@ main(int argc, char **argv)
 
     Harness h("Fig. 18: draw-scheduler update-interval sensitivity", 1);
     h.parse(argc, argv);
+    h.prefetch("fig18_sched_update_freq");
 
     const std::uint64_t intervals[] = {1, 256, 512, 1024};
     const Scheme schemes[] = {Scheme::Chopin, Scheme::ChopinCompSched,
                               Scheme::ChopinIdeal};
-    {
-        SystemConfig base;
-        base.num_gpus = h.gpus();
-        std::vector<SystemConfig> cfgs;
-        for (std::uint64_t interval : intervals) {
-            SystemConfig cfg = base;
-            cfg.sched_update_tris = interval;
-            cfgs.push_back(cfg);
-        }
-        h.prefetch(h.grid({Scheme::Duplication}, {base}));
-        h.prefetch(h.grid({schemes[0], schemes[1], schemes[2]}, cfgs));
-    }
     TextTable table({"update interval", "CHOPIN", "CHOPIN+CompSched",
                      "IdealCHOPIN"});
     for (std::uint64_t interval : intervals) {

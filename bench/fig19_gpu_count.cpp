@@ -17,23 +17,12 @@ main(int argc, char **argv)
 
     Harness h("Fig. 19: speedup over duplication vs GPU count", 1);
     h.parse(argc, argv);
+    h.prefetch("fig19_gpu_count");
 
     const unsigned counts[] = {2, 4, 8, 16};
     const Scheme schemes[] = {Scheme::Gpupd, Scheme::GpupdIdeal,
                               Scheme::Chopin, Scheme::ChopinCompSched,
                               Scheme::ChopinIdeal};
-    {
-        std::vector<SystemConfig> cfgs;
-        for (unsigned gpus : counts) {
-            SystemConfig cfg;
-            cfg.num_gpus = gpus;
-            cfgs.push_back(cfg);
-        }
-        h.prefetch(h.grid({Scheme::Duplication, Scheme::Gpupd,
-                           Scheme::GpupdIdeal, Scheme::Chopin,
-                           Scheme::ChopinCompSched, Scheme::ChopinIdeal},
-                          cfgs));
-    }
     TextTable table({"gpus", "GPUpd", "IdealGPUpd", "CHOPIN",
                      "CHOPIN+CompSched", "IdealCHOPIN"});
     for (unsigned gpus : counts) {

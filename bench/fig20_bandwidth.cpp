@@ -15,24 +15,12 @@ main(int argc, char **argv)
 
     Harness h("Fig. 20: speedup over duplication vs link bandwidth", 1);
     h.parse(argc, argv);
+    h.prefetch("fig20_bandwidth");
 
     const double bandwidths[] = {16, 32, 64, 128}; // GB/s = B/cycle at 1GHz
     const Scheme schemes[] = {Scheme::Gpupd, Scheme::GpupdIdeal,
                               Scheme::Chopin, Scheme::ChopinCompSched,
                               Scheme::ChopinIdeal};
-    {
-        std::vector<SystemConfig> cfgs;
-        for (double bw : bandwidths) {
-            SystemConfig cfg;
-            cfg.num_gpus = h.gpus();
-            cfg.link.bytes_per_cycle = bw;
-            cfgs.push_back(cfg);
-        }
-        h.prefetch(h.grid({Scheme::Duplication, Scheme::Gpupd,
-                           Scheme::GpupdIdeal, Scheme::Chopin,
-                           Scheme::ChopinCompSched, Scheme::ChopinIdeal},
-                          cfgs));
-    }
     TextTable table({"bandwidth", "GPUpd", "IdealGPUpd", "CHOPIN",
                      "CHOPIN+CompSched", "IdealCHOPIN"});
     for (double bw : bandwidths) {

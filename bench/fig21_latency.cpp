@@ -15,24 +15,12 @@ main(int argc, char **argv)
 
     Harness h("Fig. 21: speedup over duplication vs link latency", 1);
     h.parse(argc, argv);
+    h.prefetch("fig21_latency");
 
     const Tick latencies[] = {100, 200, 300, 400};
     const Scheme schemes[] = {Scheme::Gpupd, Scheme::GpupdIdeal,
                               Scheme::Chopin, Scheme::ChopinCompSched,
                               Scheme::ChopinIdeal};
-    {
-        std::vector<SystemConfig> cfgs;
-        for (Tick lat : latencies) {
-            SystemConfig cfg;
-            cfg.num_gpus = h.gpus();
-            cfg.link.latency = lat;
-            cfgs.push_back(cfg);
-        }
-        h.prefetch(h.grid({Scheme::Duplication, Scheme::Gpupd,
-                           Scheme::GpupdIdeal, Scheme::Chopin,
-                           Scheme::ChopinCompSched, Scheme::ChopinIdeal},
-                          cfgs));
-    }
     TextTable table({"latency", "GPUpd", "IdealGPUpd", "CHOPIN",
                      "CHOPIN+CompSched", "IdealCHOPIN"});
     for (Tick lat : latencies) {

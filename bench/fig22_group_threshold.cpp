@@ -18,22 +18,11 @@ main(int argc, char **argv)
 
     Harness h("Fig. 22: composition-group threshold sensitivity", 1);
     h.parse(argc, argv);
+    h.prefetch("fig22_group_threshold");
 
     const std::uint64_t thresholds[] = {256, 1024, 4096, 16384};
     const Scheme schemes[] = {Scheme::Chopin, Scheme::ChopinCompSched,
                               Scheme::ChopinIdeal};
-    {
-        SystemConfig base;
-        base.num_gpus = h.gpus();
-        std::vector<SystemConfig> cfgs;
-        for (std::uint64_t threshold : thresholds) {
-            SystemConfig cfg = base;
-            cfg.group_threshold = threshold;
-            cfgs.push_back(cfg);
-        }
-        h.prefetch(h.grid({Scheme::Duplication}, {base}));
-        h.prefetch(h.grid({schemes[0], schemes[1], schemes[2]}, cfgs));
-    }
     TextTable table({"threshold", "CHOPIN", "CHOPIN+CompSched",
                      "IdealCHOPIN", "avg accel groups", "tri coverage"});
     for (std::uint64_t threshold : thresholds) {

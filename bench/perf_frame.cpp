@@ -216,6 +216,7 @@ main(int argc, char **argv)
               "JSON summary path (empty = don't write)");
     h.addFlag("stream-out", "",
               "standalone stream-series JSON path (empty = don't write)");
+    h.addTraceOutFlag();
     h.parse(argc, argv);
 
     // parse() applied --jobs (default: CHOPIN_JOBS env or hardware

@@ -4,9 +4,9 @@
  * engine (core/sweep.hh) — "reproduce the paper in one cached, parallel
  * invocation".
  *
- * Builds the union of every figNN / table / ablation harness grid (Figs.
- * 2-22, scheduler-traffic and ablation tables), then runs it twice
- * in-process:
+ * Takes figureSuite() (bench/common.hh), the grid every figNN / table /
+ * ablation harness prefetches (Figs. 2-22, scheduler-traffic and ablation
+ * tables), and runs it twice in-process:
  *
  *   1. cold-serial — a fresh runner, scenarios strictly serial, disk-cache
  *      reads disabled (computes everything; stores into the cache). This is
@@ -44,204 +44,6 @@ namespace
 
 using namespace chopin;
 using namespace chopin::bench;
-
-/** One figure's declared scenario grid. */
-struct FigureSpec
-{
-    std::string name;
-    std::vector<Scenario> grid;
-};
-
-SystemConfig
-baseConfig(unsigned gpus)
-{
-    SystemConfig cfg;
-    cfg.num_gpus = gpus;
-    return cfg;
-}
-
-/** The full evaluation suite: one FigureSpec per bench harness grid. */
-std::vector<FigureSpec>
-buildSuite(const std::vector<std::string> &benches, unsigned gpus)
-{
-    std::vector<FigureSpec> figures;
-    auto cross = [&](const std::string &name,
-                     const std::vector<Scheme> &schemes,
-                     const std::vector<SystemConfig> &cfgs) {
-        FigureSpec fig{name, {}};
-        for (const SystemConfig &cfg : cfgs)
-            for (Scheme s : schemes)
-                for (const std::string &bench : benches)
-                    fig.grid.push_back(Scenario{s, bench, cfg});
-        figures.push_back(std::move(fig));
-    };
-    // A sensitivity sweep normalized to Duplication at the base config:
-    // the swept schemes at every variant, Duplication only at the base.
-    auto sweepVsBase = [&](const std::string &name,
-                           const std::vector<Scheme> &schemes,
-                           const std::vector<SystemConfig> &cfgs) {
-        cross(name, schemes, cfgs);
-        for (const std::string &bench : benches)
-            figures.back().grid.push_back(
-                Scenario{Scheme::Duplication, bench, baseConfig(gpus)});
-    };
-
-    const std::vector<Scheme> main_schemes = {
-        Scheme::Duplication,     Scheme::Gpupd, Scheme::GpupdIdeal,
-        Scheme::Chopin,          Scheme::ChopinCompSched,
-        Scheme::ChopinIdeal};
-
-    // Fig. 2 / Table III: duplication across GPU counts (1 covers the
-    // single-GPU geometry-fraction bars).
-    {
-        std::vector<SystemConfig> cfgs;
-        for (unsigned g : {1u, 2u, 4u, 8u})
-            cfgs.push_back(baseConfig(g));
-        cross("fig02_geometry_fraction", {Scheme::Duplication}, cfgs);
-    }
-    // Fig. 4: GPUpd overheads across GPU counts.
-    {
-        std::vector<SystemConfig> cfgs;
-        for (unsigned g : {2u, 4u, 8u})
-            cfgs.push_back(baseConfig(g));
-        cross("fig04_gpupd_overheads", {Scheme::Gpupd}, cfgs);
-    }
-    cross("fig05_ideal_speedup",
-          {Scheme::Duplication, Scheme::Gpupd, Scheme::GpupdIdeal,
-           Scheme::ChopinIdeal},
-          {baseConfig(gpus)});
-    cross("fig08_round_robin",
-          {Scheme::Duplication, Scheme::Gpupd, Scheme::ChopinRoundRobin,
-           Scheme::ChopinCompSched},
-          {baseConfig(gpus)});
-    cross("fig09_triangle_rate", {Scheme::SingleGpu}, {baseConfig(gpus)});
-    cross("fig13_performance", main_schemes, {baseConfig(gpus)});
-    cross("fig14_breakdown",
-          {Scheme::Duplication, Scheme::Gpupd, Scheme::Chopin,
-           Scheme::ChopinCompSched, Scheme::ChopinIdeal},
-          {baseConfig(gpus)});
-    cross("fig15_depth_test",
-          {Scheme::Duplication, Scheme::ChopinCompSched},
-          {baseConfig(gpus)});
-    // Fig. 16: hypothetical-workload cull-retention sweep (ut3, or the
-    // single selected benchmark, like the standalone harness).
-    {
-        FigureSpec fig{"fig16_culled_retention", {}};
-        std::string bench =
-            benches.size() == 1 ? benches[0] : std::string("ut3");
-        fig.grid.push_back(
-            Scenario{Scheme::Duplication, bench, baseConfig(gpus)});
-        for (int pct = 0; pct <= 40; pct += 5) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.cull_retention = static_cast<double>(pct) / 100.0;
-            fig.grid.push_back(
-                Scenario{Scheme::ChopinCompSched, bench, cfg});
-        }
-        figures.push_back(std::move(fig));
-    }
-    cross("fig17_composition_traffic", {Scheme::ChopinCompSched},
-          {baseConfig(gpus)});
-    // Fig. 18: scheduler-feedback staleness sweep.
-    {
-        std::vector<SystemConfig> cfgs;
-        for (std::uint64_t interval : {1ull, 256ull, 512ull, 1024ull}) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.sched_update_tris = interval;
-            cfgs.push_back(cfg);
-        }
-        sweepVsBase("fig18_sched_update_freq",
-                    {Scheme::Chopin, Scheme::ChopinCompSched,
-                     Scheme::ChopinIdeal},
-                    cfgs);
-    }
-    // Fig. 19: GPU-count sweep.
-    {
-        std::vector<SystemConfig> cfgs;
-        for (unsigned g : {2u, 4u, 8u, 16u})
-            cfgs.push_back(baseConfig(g));
-        cross("fig19_gpu_count", main_schemes, cfgs);
-    }
-    // Fig. 20: bandwidth sweep.
-    {
-        std::vector<SystemConfig> cfgs;
-        for (double bw : {16.0, 32.0, 64.0, 128.0}) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.link.bytes_per_cycle = bw;
-            cfgs.push_back(cfg);
-        }
-        cross("fig20_bandwidth", main_schemes, cfgs);
-    }
-    // Fig. 21: latency sweep.
-    {
-        std::vector<SystemConfig> cfgs;
-        for (Tick lat : {Tick{100}, Tick{200}, Tick{300}, Tick{400}}) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.link.latency = lat;
-            cfgs.push_back(cfg);
-        }
-        cross("fig21_latency", main_schemes, cfgs);
-    }
-    // Fig. 22: composition-group threshold sweep.
-    {
-        std::vector<SystemConfig> cfgs;
-        for (std::uint64_t thr : {256ull, 1024ull, 4096ull, 16384ull}) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.group_threshold = thr;
-            cfgs.push_back(cfg);
-        }
-        sweepVsBase("fig22_group_threshold",
-                    {Scheme::Chopin, Scheme::ChopinCompSched,
-                     Scheme::ChopinIdeal},
-                    cfgs);
-    }
-    // Scheduler-traffic table (Section VI-D).
-    {
-        std::vector<SystemConfig> cfgs;
-        for (std::uint64_t interval : {1ull, 1024ull}) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.sched_update_tris = interval;
-            cfgs.push_back(cfg);
-        }
-        cross("table_sched_traffic", {Scheme::ChopinCompSched}, cfgs);
-    }
-    // Ablations: composition payload, GPUpd batching, tile assignment.
-    {
-        std::vector<SystemConfig> cfgs;
-        for (CompPayload p :
-             {CompPayload::WrittenPixels, CompPayload::SubTiles,
-              CompPayload::FullTiles}) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.comp_payload = p;
-            cfgs.push_back(cfg);
-        }
-        sweepVsBase("ablation_comp_payload", {Scheme::ChopinCompSched},
-                    cfgs);
-    }
-    {
-        std::vector<SystemConfig> cfgs;
-        for (std::uint64_t batch : {512ull, 2048ull, 8192ull})
-            for (bool runahead : {false, true}) {
-                SystemConfig cfg = baseConfig(gpus);
-                cfg.gpupd_batch_prims = batch;
-                cfg.gpupd_runahead = runahead;
-                cfgs.push_back(cfg);
-            }
-        sweepVsBase("ablation_gpupd_batching", {Scheme::Gpupd}, cfgs);
-    }
-    {
-        std::vector<SystemConfig> cfgs;
-        for (TileAssignment policy :
-             {TileAssignment::Interleaved, TileAssignment::Blocked}) {
-            SystemConfig cfg = baseConfig(gpus);
-            cfg.tile_assignment = policy;
-            cfgs.push_back(cfg);
-        }
-        cross("ablation_tile_assignment",
-              {Scheme::Duplication, Scheme::Gpupd, Scheme::ChopinCompSched},
-              cfgs);
-    }
-    return figures;
-}
 
 /** Peak resident set of this process so far, in MB. */
 double
@@ -298,6 +100,7 @@ main(int argc, char **argv)
               8);
     h.addFlag("out", "BENCH_sweep.json",
               "JSON summary path (empty = don't write)");
+    h.addTraceOutFlag();
     h.parse(argc, argv);
 
     std::string cache_dir = h.flags().getString("cache");
@@ -311,7 +114,7 @@ main(int argc, char **argv)
     unsigned sweep_jobs =
         static_cast<unsigned>(h.flags().getInt("sweep-jobs"));
 
-    std::vector<FigureSpec> figures = buildSuite(h.benchmarks(), h.gpus());
+    std::vector<FigureSpec> figures = figureSuite(h.benchmarks(), h.gpus());
     std::size_t total_scenarios = 0;
     for (const FigureSpec &fig : figures)
         total_scenarios += fig.grid.size();

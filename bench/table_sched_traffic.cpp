@@ -17,6 +17,7 @@ main(int argc, char **argv)
 
     Harness h("Scheduler traffic (Section VI-D)", 1);
     h.parse(argc, argv);
+    h.prefetch("table_sched_traffic");
 
     TextTable table({"benchmark", "update interval", "draw-sched bytes",
                      "comp-sched handshake bytes"});

@@ -11,7 +11,6 @@ namespace chopin
 
 Interconnect::Interconnect(unsigned num_gpus, const LinkParams &params)
     : gpus(num_gpus), linkParams(params), egress(num_gpus), ingress(num_gpus),
-      links(static_cast<std::size_t>(num_gpus) * num_gpus),
       link_bytes(static_cast<std::size_t>(num_gpus) * num_gpus, 0)
 {
     CHOPIN_CHECK(num_gpus >= 1);
@@ -38,12 +37,10 @@ Interconnect::transfer(GpuId src, GpuId dst, Bytes bytes, Tick earliest,
     Tick duration = transferCycles(bytes);
     Resource &out = egress[src];
     Resource &in = ingress[dst];
-    Resource &link = links[linkIndex(src, dst)];
 
-    Tick start = std::max({earliest, out.freeAt(), in.freeAt(), link.freeAt()});
+    Tick start = std::max({earliest, out.freeAt(), in.freeAt()});
     out.claim(start, duration);
     in.claim(start, duration);
-    link.claim(start, duration);
 
     // Injection-side accounting.
     link_bytes[linkIndex(src, dst)] += bytes;
@@ -59,7 +56,7 @@ Interconnect::transfer(GpuId src, GpuId dst, Bytes bytes, Tick earliest,
     pending_deliveries.push(delivery);
 
     if (tracer_ != nullptr) {
-        // The gap between `earliest` and `start` is port/link contention —
+        // The gap between `earliest` and `start` is port contention —
         // exactly the egress/ingress head-of-line blocking the composition
         // scheduler exists to avoid, made visible per message.
         tracer_->span(egress_tracks[src], "net",

@@ -13,8 +13,10 @@
  * CHOPIN's image-composition scheduler something to fix.
  *
  * The model is busy-until arithmetic over sim::Resource: a transfer claims
- * the source egress, the pair link, and the destination ingress from its
- * start time for size/bandwidth cycles, and delivers wire-latency later.
+ * the source egress and the destination ingress port from its start time
+ * for size/bandwidth cycles, and delivers wire-latency later. A link has
+ * one sender, whose egress port already serializes it, so the link itself
+ * holds no busy-until state; it only counts its bytes (linkBytes()).
  */
 
 #ifndef CHOPIN_NET_INTERCONNECT_HH
@@ -134,7 +136,7 @@ class Interconnect
 
     /**
      * Transfer @p bytes from @p src to @p dst, starting no earlier than
-     * @p earliest and no earlier than the involved ports/link are free.
+     * @p earliest and no earlier than both involved ports are free.
      *
      * @return the delivery time (transfer end + wire latency).
      */
@@ -225,7 +227,6 @@ class Interconnect
     LinkParams linkParams; ///< immutable after construction
     std::vector<Resource> egress CHOPIN_GUARDED_BY(seq);  ///< one per GPU
     std::vector<Resource> ingress CHOPIN_GUARDED_BY(seq); ///< one per GPU
-    std::vector<Resource> links CHOPIN_GUARDED_BY(seq);   ///< ordered pairs
     TrafficStats stats CHOPIN_GUARDED_BY(seq);
 
     Tracer *tracer_ CHOPIN_GUARDED_BY(seq) = nullptr;

@@ -4,7 +4,7 @@ namespace chopin
 {
 
 void
-JsonWriter::putString(std::string_view s)
+writeJsonString(std::ostream &os, std::string_view s)
 {
     os << '"';
     for (char c : s) {

@@ -24,6 +24,13 @@ namespace chopin
 {
 
 /**
+ * Write @p s as a quoted JSON string: quote, backslash, newline and tab
+ * get their short escapes, other control bytes \u00XX, everything else
+ * passes through unchanged.
+ */
+void writeJsonString(std::ostream &os, std::string_view s);
+
+/**
  * Minimal streaming JSON writer: tracks nesting and comma placement so
  * callers can never emit structurally invalid JSON. Output is compact
  * (one line) with a trailing newline at finish(); doubles use the
@@ -73,7 +80,7 @@ class JsonWriter
     key(std::string_view k)
     {
         preValue();
-        putString(k);
+        writeJsonString(os, k);
         os << ':';
         have_key = true;
         return *this;
@@ -83,7 +90,7 @@ class JsonWriter
     value(std::string_view s)
     {
         preValue();
-        putString(s);
+        writeJsonString(os, s);
         return *this;
     }
 
@@ -170,8 +177,6 @@ class JsonWriter
             stack.pop_back();
         have_key = false;
     }
-
-    void putString(std::string_view s);
 
     std::ostream &os;
     std::vector<State> stack;

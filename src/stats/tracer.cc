@@ -2,38 +2,11 @@
 
 #include <ostream>
 
+#include "stats/report.hh"
 #include "util/check.hh"
 
 namespace chopin
 {
-
-namespace
-{
-
-/** JSON string escaping (names are ASCII, but stay correct regardless). */
-void
-putJsonString(std::ostream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 Tracer::TrackId
 Tracer::track(const std::string &name)
@@ -89,7 +62,7 @@ Tracer::exportChromeJson(std::ostream &os) const
         sep();
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
            << (i + 1) << ",\"args\":{\"name\":";
-        putJsonString(os, tracks[i]);
+        writeJsonString(os, tracks[i]);
         os << "}}";
     }
     // Then every span, in emission order. ts/dur are sim Ticks verbatim
@@ -97,9 +70,9 @@ Tracer::exportChromeJson(std::ostream &os) const
     for (const Span &s : spans) {
         sep();
         os << "{\"name\":";
-        putJsonString(os, s.name);
+        writeJsonString(os, s.name);
         os << ",\"cat\":";
-        putJsonString(os, s.category);
+        writeJsonString(os, s.category);
         os << ",\"ph\":\"X\",\"ts\":" << s.start << ",\"dur\":" << s.dur
            << ",\"pid\":1,\"tid\":" << (s.track + 1);
         if (!s.args.empty()) {
@@ -107,7 +80,7 @@ Tracer::exportChromeJson(std::ostream &os) const
             for (std::size_t i = 0; i < s.args.size(); ++i) {
                 if (i)
                     os << ",";
-                putJsonString(os, s.args[i].key);
+                writeJsonString(os, s.args[i].key);
                 os << ":" << s.args[i].value;
             }
             os << "}";

@@ -429,7 +429,7 @@ RULES = [
          "bench harnesses run simulations through Harness::run()",
          "replace runScheme(scheme, cfg, trace) or a per-scheme runner "
          "(runGpupd, runChopin, ...) with h.run(scheme, bench, cfg) (or "
-         "h.prefetch(grid) up front); if the "
+         "h.prefetch(\"<figure>\") up front); if the "
          "direct call is intentional (e.g. wall-clock measurement of the "
          "computation itself), append "
          "`// chopin-lint: allow(bench-runscheme)` with a justification",
