@@ -269,8 +269,8 @@ Harness::parse(int argc, char **argv)
     scale_div = static_cast<int>(scale);
 
     long gpus_raw = cli.getInt("gpus");
-    CHOPIN_CHECK(gpus_raw >= 1 && gpus_raw <= 256,
-                 "--gpus must be in [1, 256], got ", gpus_raw);
+    CHOPIN_CHECK(gpus_raw >= 1 && gpus_raw <= maxGpus,
+                 "--gpus must be in [1, ", maxGpus, "], got ", gpus_raw);
     gpu_count = static_cast<unsigned>(gpus_raw);
 
     long jobs = cli.getInt("jobs");

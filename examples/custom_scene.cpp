@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "core/chopin.hh"
+#include "util/check.hh"
 
 namespace
 {
@@ -57,6 +58,7 @@ main(int argc, char **argv)
 {
     using namespace chopin;
 
+    setCliCheckTool("custom_scene");
     CommandLine cli("CHOPIN custom-scene example");
     cli.addFlag("gpus", "4", "number of GPUs");
     cli.addFlag("out", "scene.ppm", "output image path");

@@ -22,12 +22,14 @@
 
 #include "core/chopin.hh"
 #include "trace/generator.hh"
+#include "util/check.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace chopin;
 
+    setCliCheckTool("hybrid_afr_sfr");
     CommandLine cli("hybrid AFR+SFR study on a 16-GPU system");
     cli.addFlag("bench", "ut3", "benchmark trace");
     cli.addFlag("scale", "4", "trace scale divisor");

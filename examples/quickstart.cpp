@@ -10,12 +10,16 @@
 #include <iostream>
 
 #include "core/chopin.hh"
+#include "util/check.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace chopin;
 
+    // A bad flag or benchmark name prints one "quickstart: error: ..."
+    // line and exits 2.
+    setCliCheckTool("quickstart");
     CommandLine cli("CHOPIN quickstart: schemes comparison on one frame");
     cli.addFlag("bench", "ut3", "benchmark trace (cod2 cry grid mirror nfs "
                                 "stal ut3 wolf)");

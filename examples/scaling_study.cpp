@@ -10,12 +10,14 @@
 #include <iostream>
 
 #include "core/chopin.hh"
+#include "util/check.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace chopin;
 
+    setCliCheckTool("scaling_study");
     CommandLine cli("CHOPIN multi-GPU scaling study");
     cli.addFlag("bench", "ut3", "benchmark trace");
     cli.addFlag("scale", "4", "trace scale divisor");

@@ -12,12 +12,14 @@
 #include <iostream>
 
 #include "core/chopin.hh"
+#include "util/check.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace chopin;
 
+    setCliCheckTool("scheduler_study");
     CommandLine cli("CHOPIN scheduler study");
     cli.addFlag("bench", "stal",
                 "benchmark (stal has the most uneven draw sizes)");

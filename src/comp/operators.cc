@@ -1,6 +1,6 @@
 #include "comp/operators.hh"
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
@@ -31,7 +31,8 @@ opaqueWins(DepthFunc func, const OpaquePixel &in, const OpaquePixel &cur)
         return func == DepthFunc::Greater ? in_w < cur_w : in_w > cur_w;
       }
       default:
-        panic("opaqueWins: non-composable depth function ", toString(func));
+        CHOPIN_CHECK(false, "opaqueWins: non-composable depth function ",
+                     toString(func));
     }
 }
 
@@ -44,7 +45,7 @@ transparentIdentity(BlendOp op)
       case BlendOp::Multiply: return {1.0f, 1.0f, 1.0f, 1.0f};
       case BlendOp::Opaque:   break;
     }
-    panic("transparentIdentity: opaque has no blend identity");
+    CHOPIN_CHECK(false, "transparentIdentity: opaque has no blend identity");
 }
 
 Color
@@ -68,7 +69,8 @@ mergeTransparent(BlendOp op, const Color &front, const Color &back)
       case BlendOp::Opaque:
         break;
     }
-    panic("mergeTransparent: opaque is not a transparent operator");
+    CHOPIN_CHECK(false,
+                 "mergeTransparent: opaque is not a transparent operator");
 }
 
 Color
@@ -89,7 +91,8 @@ finalizeTransparent(BlendOp op, const Color &acc, const Color &background)
       case BlendOp::Opaque:
         break;
     }
-    panic("finalizeTransparent: opaque is not a transparent operator");
+    CHOPIN_CHECK(false,
+                 "finalizeTransparent: opaque is not a transparent operator");
 }
 
 } // namespace chopin

@@ -67,8 +67,8 @@ checksum(std::string_view bytes)
 
 /** Reader that fails soft: every get() after a short read returns false
  *  and poisons the reader, so corrupt files surface as a rejected load
- *  rather than a crash or a fatal(). It keeps every byte it reads for the
- *  checksum. */
+ *  rather than a crash or a failed check. It keeps every byte it reads for
+ *  the checksum. */
 class SoftReader
 {
   public:
@@ -247,7 +247,7 @@ SweepRunner::SweepRunner(SweepOptions options)
       disk(opts.cache_dir.empty()
                ? nullptr
                : std::make_unique<ResultCache>(opts.cache_dir,
-                                               opts.cache_version))
+                                               resultCacheVersion()))
 {
 }
 
@@ -288,7 +288,7 @@ const FrameResult &
 SweepRunner::run(const Scenario &s)
 {
     std::uint64_t key = scenarioFingerprint(s.scheme, traceFp(s.bench),
-                                            s.cfg, opts.cache_version);
+                                            s.cfg, resultCacheVersion());
     return runKeyed(s, key);
 }
 
@@ -379,7 +379,7 @@ SweepRunner::prefetch(const std::vector<Scenario> &grid)
     std::set<std::uint64_t> seen_keys;
     for (const Scenario &s : grid) {
         std::uint64_t key = scenarioFingerprint(
-            s.scheme, traceFp(s.bench), s.cfg, opts.cache_version);
+            s.scheme, traceFp(s.bench), s.cfg, resultCacheVersion());
         if (seen_keys.insert(key).second) {
             todo.push_back(&s);
             keys.push_back(key);

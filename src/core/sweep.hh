@@ -67,7 +67,7 @@ namespace chopin
 inline constexpr std::uint32_t resultSchemaVersion = 4;
 
 /**
- * The cache version binaries actually use (the SweepOptions default):
+ * The cache version every SweepRunner keys and stores with:
  * resultSchemaVersion mixed with the metric-schema fingerprints of the
  * serialized registries (FrameAccounting and DrawTiming). Adding,
  * removing, renaming or re-typing any registered metric changes the
@@ -96,8 +96,6 @@ struct SweepOptions
     std::string cache_dir;
     /** False = ignore existing disk entries (cold run) but still store. */
     bool cache_read = true;
-    /** Cache schema version; tests override it to exercise eviction. */
-    std::uint32_t cache_version = resultCacheVersion();
 };
 
 /** Where each result came from (monotone counters; see stats()). */
@@ -144,9 +142,9 @@ class ResultCache
      * Load and validate the entry for @p key. Validation covers the magic,
      * the schema version, the key echo, every length field, a checksum of
      * every byte before it, a trailing sentinel and exact EOF. Returns
-     * Rejected — never crashes, never fatal()s — on a truncated, corrupt
-     * or version-mismatched entry; the caller recomputes, and the next
-     * store() evicts the bad file.
+     * Rejected — never crashes, never fails a check — on a truncated,
+     * corrupt or version-mismatched entry; the caller recomputes, and the
+     * next store() evicts the bad file.
      */
     CacheLoad load(std::uint64_t key, FrameResult &out) const;
 

@@ -52,8 +52,6 @@ Interconnect::transfer(GpuId src, GpuId dst, Bytes bytes, Tick earliest,
     Tick delivery = start + duration + linkParams.latency;
     delivered_bytes += bytes;
     last_delivery = std::max(last_delivery, delivery);
-    inflight.acquire();
-    pending_deliveries.push(delivery);
 
     if (tracer_ != nullptr) {
         // The gap between `earliest` and `start` is port contention —
@@ -92,23 +90,6 @@ Interconnect::linkBytes(GpuId src, GpuId dst) const
 }
 
 void
-Interconnect::drainUpTo(Tick now)
-{
-    while (!pending_deliveries.empty() && pending_deliveries.top() <= now) {
-        pending_deliveries.pop();
-        inflight.release();
-    }
-}
-
-std::uint64_t
-Interconnect::inflightAfter(Tick now)
-{
-    seq.assertHeld("Interconnect::inflightAfter");
-    drainUpTo(now);
-    return inflight.used();
-}
-
-void
 Interconnect::checkFlowConservation() const
 {
     seq.assertHeld("Interconnect::checkFlowConservation");
@@ -129,12 +110,11 @@ Interconnect::checkFlowConservation() const
 }
 
 void
-Interconnect::checkDrained(Tick frame_end)
+Interconnect::checkDrained(Tick frame_end) const
 {
     seq.assertHeld("Interconnect::checkDrained");
-    drainUpTo(frame_end);
-    CHOPIN_CHECK(inflight.empty(), inflight.used(),
-                 " message(s) still in flight at frame end ", frame_end,
+    CHOPIN_CHECK(last_delivery <= frame_end,
+                 "a message is still in flight at frame end ", frame_end,
                  "; latest delivery at ", last_delivery);
 }
 

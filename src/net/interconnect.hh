@@ -24,7 +24,6 @@
 
 #include <array>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "sim/resource.hh"
@@ -172,17 +171,6 @@ class Interconnect
     /** Bytes injected so far on the @p src -> @p dst link. */
     Bytes linkBytes(GpuId src, GpuId dst) const;
 
-    /** Delivery time of the latest-arriving message sent so far. */
-    Tick
-    lastDelivery() const
-    {
-        seq.assertHeld("Interconnect::lastDelivery");
-        return last_delivery;
-    }
-
-    /** Messages whose delivery time is later than @p now. */
-    std::uint64_t inflightAfter(Tick now);
-
     /**
      * Flow conservation: bytes injected per link sum to the bytes delivered
      * and to the per-class traffic totals. Violations mean a transfer was
@@ -191,11 +179,12 @@ class Interconnect
     void checkFlowConservation() const;
 
     /**
-     * All traffic must have drained by @p frame_end: a message still in
-     * flight after the frame's reported cycle count means some scheme
-     * failed to fold a delivery into its completion time.
+     * All traffic must have drained by @p frame_end, i.e. the latest
+     * delivery is no later than it: a message still in flight after the
+     * frame's reported cycle count means some scheme failed to fold a
+     * delivery into its completion time.
      */
-    void checkDrained(Tick frame_end);
+    void checkDrained(Tick frame_end) const;
 
     /**
      * Attach (or detach, with nullptr) a timeline tracer. Every transfer
@@ -237,12 +226,6 @@ class Interconnect
     std::vector<Bytes> link_bytes CHOPIN_GUARDED_BY(seq);
     Bytes delivered_bytes CHOPIN_GUARDED_BY(seq) = 0;
     Tick last_delivery CHOPIN_GUARDED_BY(seq) = 0;
-    Occupancy inflight CHOPIN_GUARDED_BY(seq);
-    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
-        pending_deliveries CHOPIN_GUARDED_BY(seq);
-
-    /** Release in-flight occupancy for messages delivered by @p now. */
-    void drainUpTo(Tick now) CHOPIN_REQUIRES(seq);
 };
 
 } // namespace chopin

@@ -26,7 +26,6 @@
 #include "sfr/grouping.hh"
 #include "sfr/schemes.hh"
 #include "util/check.hh"
-#include "util/log.hh"
 #include "util/thread_pool.hh"
 #include "util/types.hh"
 
@@ -386,8 +385,8 @@ struct ChopinRun
             [&](std::size_t tile_index) {
                 int tile = static_cast<int>(tile_index);
                 TileBlocks tb = blocksOf(tile);
-                // One block's mask per GPU (SimContext allows at most 64).
-                std::array<std::uint64_t, 64> masks{};
+                // One block's mask per GPU.
+                std::array<std::uint64_t, maxGpus> masks{};
                 for (int by = tb.by0; by < tb.by1; ++by) {
                     for (int bx = tb.bx0; bx < tb.bx1; ++bx) {
                         int b = by * subs.front().blocksX() + bx;
@@ -491,7 +490,7 @@ runScheme(Scheme scheme, const SystemConfig &cfg, const FrameTrace &trace,
                          {DrawPolicy::FewestRemaining, true, true},
                          tracer, image);
     }
-    panic("unknown scheme");
+    CHOPIN_CHECK(false, "unknown scheme ", static_cast<int>(scheme));
 }
 
 } // namespace chopin

@@ -51,6 +51,11 @@ enum class CompPayload
 
 std::string toString(CompPayload p);
 
+/** The largest supported GPU count: the tile grid's per-triangle GPU
+ *  masks and the composition scheduler's pair masks hold one bit per GPU
+ *  in 64 bits. */
+inline constexpr unsigned maxGpus = 64;
+
 /** Full system configuration (Table II defaults). */
 struct SystemConfig
 {

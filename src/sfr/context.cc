@@ -17,7 +17,8 @@ SimContext::SimContext(const SystemConfig &config, const FrameTrace &frame,
            config.tile_assignment),
       net(config.num_gpus, link), tracer(trace_sink)
 {
-    CHOPIN_CHECK(cfg.num_gpus >= 1 && cfg.num_gpus <= 64);
+    CHOPIN_CHECK(cfg.num_gpus >= 1 && cfg.num_gpus <= maxGpus,
+                 "num_gpus must be in [1, ", maxGpus, "], got ", cfg.num_gpus);
     CHOPIN_DCHECK(grid.ownersPartitionScreen(),
                   "tile grid does not partition the ", vp.width, "x",
                   vp.height, " screen across ", cfg.num_gpus, " GPUs");

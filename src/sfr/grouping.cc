@@ -1,7 +1,6 @@
 #include "sfr/grouping.hh"
 
 #include "comp/operators.hh"
-#include "util/log.hh"
 
 namespace chopin
 {

@@ -5,7 +5,7 @@
 
 #include "stats/tracer.hh"
 #include "util/fingerprint.hh"
-#include "util/log.hh"
+#include "util/check.hh"
 #include "util/thread_pool.hh"
 
 namespace chopin
@@ -22,7 +22,7 @@ toString(SequenceScheme s)
       case SequenceScheme::HybridAfrSfr:
         return "hybrid-afr-sfr";
     }
-    panic("unknown SequenceScheme ", static_cast<int>(s));
+    CHOPIN_CHECK(false, "unknown SequenceScheme ", static_cast<int>(s));
 }
 
 unsigned
@@ -36,7 +36,7 @@ SequenceOptions::resolvedGroups(unsigned num_gpus) const
       case SequenceScheme::HybridAfrSfr:
         return afr_groups;
     }
-    panic("unknown SequenceScheme ", static_cast<int>(scheme));
+    CHOPIN_CHECK(false, "unknown SequenceScheme ", static_cast<int>(scheme));
 }
 
 SequenceResult

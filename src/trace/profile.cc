@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
@@ -147,8 +147,9 @@ benchmarkProfile(const std::string &name)
     for (const BenchmarkProfile &p : allBenchmarkProfiles())
         if (p.name == name)
             return p;
-    fatal("unknown benchmark '", name, "' (expected one of: cod2 cry grid "
-          "mirror nfs stal ut3 wolf)");
+    CHOPIN_CHECK(false, "unknown benchmark '", name,
+                 "' (expected one of: cod2 cry grid mirror nfs stal ut3 "
+                 "wolf)");
 }
 
 BenchmarkProfile

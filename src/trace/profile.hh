@@ -73,7 +73,7 @@ struct BenchmarkProfile
 /** The eight profiles matching Table III of the paper. */
 const std::vector<BenchmarkProfile> &allBenchmarkProfiles();
 
-/** Look up a profile by short name; fatal() if unknown. */
+/** Look up a profile by short name; fails a check if unknown. */
 const BenchmarkProfile &benchmarkProfile(const std::string &name);
 
 /**

@@ -1,6 +1,6 @@
 #include "trace/sequence.hh"
 
-#include "util/log.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
@@ -16,7 +16,7 @@ toString(CameraPath p)
       case CameraPath::Dolly:
         return "dolly";
     }
-    panic("unknown CameraPath ", static_cast<int>(p));
+    CHOPIN_CHECK(false, "unknown CameraPath ", static_cast<int>(p));
 }
 
 namespace

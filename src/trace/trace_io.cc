@@ -2,9 +2,9 @@
 
 #include <cstring>
 #include <fstream>
+#include <iostream>
 
 #include "util/fingerprint.hh"
-#include "util/log.hh"
 
 namespace chopin
 {
@@ -37,8 +37,8 @@ putString(std::ostream &os, const std::string &s)
  * Soft-failing reader implementing the load half of the error contract in
  * trace_io.hh: the first short read or sanity-check failure poisons the
  * reader and records a diagnostic; every later read is a no-op returning
- * false. Malformed input therefore surfaces as `false` + warn() in the
- * loaders, never as a fatal() or a crash.
+ * false. Malformed input therefore surfaces as `false` + one `warn:` line
+ * from the loaders, never as a failed check or a crash.
  */
 class Reader
 {
@@ -311,7 +311,8 @@ getSequenceBody(Reader &r, SequenceTrace &seq)
 bool
 loadFail(const std::string &path, const std::string &reason)
 {
-    warn("cannot load trace '", path, "': ", reason);
+    std::cerr << "warn: cannot load trace '" << path << "': " << reason
+              << "\n";
     return false;
 }
 

@@ -10,12 +10,13 @@
  * frame.
  *
  * Error-handling contract (uniform across every function here):
- *  - save*() returns false on open or write failure and never fatal()s.
- *  - load*() returns false — after a warn() diagnostic naming the path and
- *    the problem — on open failure, truncation, corruption, or an
- *    unsupported version, and never fatal()s: callers decide whether a bad
- *    trace file is fatal for *them*. On false the output object is
- *    valid but unspecified.
+ *  - save*() returns false on open or write failure and never fails a
+ *    check.
+ *  - load*() returns false — after one "warn: cannot load trace '<path>':
+ *    <reason>" line on stderr — on open failure, truncation, corruption,
+ *    or an unsupported version, and never fails a check: callers decide
+ *    whether a bad trace file is fatal for *them*. On false the output
+ *    object is valid but unspecified.
  *  - Version upgrades are automatic where meaning-preserving:
  *    loadSequence() reads a v3 single-frame file as a 1-frame sequence
  *    (sequenceFromFrame), and loadTrace() reads a v4 file whose sequence

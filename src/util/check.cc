@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <mutex>
 
 namespace chopin
 {
@@ -10,16 +11,25 @@ namespace
 {
 
 std::string cliToolName; // non-empty = CLI diagnostic mode
+std::mutex cliFailing;   // held, never released, by the thread that reports
 
 void
 cliHandler(const CheckFailure &failure)
 {
+    // A check may fail on any thread: a scenario worker, a parallelFor
+    // chunk or main. The first failing thread takes the lock, prints the
+    // one diagnostic and ends the process; any other thread that fails
+    // meanwhile blocks here until it does, so the line is never repeated
+    // or interleaved. std::_Exit, not std::exit: exit would run static
+    // destructors on this thread, and the global pool's would join the
+    // workers blocked here.
+    cliFailing.lock();
+    std::cout.flush();
     std::cerr << cliToolName << ": error: "
               << (failure.message.empty() ? failure.condition
                                           : failure.message.c_str())
-              << "\n";
-    // CHOPIN_CHECK failures terminate the tool; single-threaded by then.
-    std::exit(2); // NOLINT(concurrency-mt-unsafe)
+              << std::endl;
+    std::_Exit(2);
 }
 
 void

@@ -17,9 +17,10 @@
  *
  * A failed check builds a CheckFailure record and hands it to the installed
  * failure handler. The default handler prints the record and aborts; tests
- * install a throwing handler (ScopedCheckHandler), CLI tools install a
- * handler that prints a clean one-line diagnostic and exits non-zero
- * (setCliCheckTool).
+ * install a throwing handler (ScopedCheckHandler), and every tool's main
+ * installs the handler that prints a clean one-line diagnostic and exits
+ * 2 (setCliCheckTool). The check layer is the simulator's only failure
+ * path: bad user input and broken invariants alike fail a check.
  */
 
 #ifndef CHOPIN_UTIL_CHECK_HH
@@ -62,8 +63,10 @@ using CheckHandler = void (*)(const CheckFailure &);
 CheckHandler setCheckHandler(CheckHandler handler);
 
 /**
- * Route failures through "<tool>: error: <message>" on stderr followed by
- * std::exit(2) — clean diagnostics for command-line tools.
+ * Route failures through one "<tool>: error: <message>" line on stderr
+ * followed by exit code 2 — clean diagnostics for command-line tools.
+ * Safe on any thread: when several fail at once, the first reports and
+ * the others wait for the process to end.
  */
 void setCliCheckTool(std::string_view tool_name);
 
@@ -114,12 +117,16 @@ failCheck(const char *kind, const char *file, int line, const char *condition,
 
 } // namespace detail
 
-/** Active check: fail through the handler when @p cond is false. */
+/** Active check: fail through the handler when @p cond is false. A
+ *  conditional expression, not an `if`: GCC folds CHOPIN_CHECK(false, ...)
+ *  to the [[noreturn]] call, so it can end a value-returning function in
+ *  every build (an `if` draws -Wreturn-type under -fsanitize=thread). */
 #define CHOPIN_INTERNAL_CHECK(kind, cond, ...)                                \
     do {                                                                      \
-        if (!(cond)) [[unlikely]]                                             \
-            ::chopin::detail::failCheck(kind, __FILE__, __LINE__, #cond       \
-                                        __VA_OPT__(, ) __VA_ARGS__);          \
+        __builtin_expect(!!(cond), 1)                                         \
+            ? (void)0                                                         \
+            : ::chopin::detail::failCheck(kind, __FILE__, __LINE__, #cond     \
+                                          __VA_OPT__(, ) __VA_ARGS__);        \
     } while (0)
 
 /** Compiled-out check: type-checks the condition, evaluates nothing. */

@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "util/check.hh"
-#include "util/log.hh"
 
 namespace chopin
 {
@@ -42,17 +41,17 @@ CommandLine::parse(int argc, char **argv)
             have_value = true;
         }
         auto it = flags.find(name);
-        if (it == flags.end())
-            fatal("unknown flag --", name, " (try --help)");
+        CHOPIN_CHECK(it != flags.end(), "unknown flag --", name,
+                     " (try --help)");
         if (!have_value) {
             // Boolean switches may omit the value; others take the next arg.
             bool is_bool = it->second.def == "true" || it->second.def == "false";
             if (is_bool) {
                 value = "true";
-            } else if (i + 1 < argc) {
-                value = argv[++i];
             } else {
-                fatal("flag --", name, " requires a value");
+                CHOPIN_CHECK(i + 1 < argc, "flag --", name,
+                             " requires a value");
+                value = argv[++i];
             }
         }
         it->second.value = value;
@@ -68,8 +67,7 @@ const CommandLine::Flag &
 CommandLine::find(const std::string &name) const
 {
     auto it = flags.find(name);
-    if (it == flags.end())
-        panic("flag --", name, " was never registered");
+    CHOPIN_CHECK(it != flags.end(), "flag --", name, " was never registered");
     return it->second;
 }
 
@@ -85,8 +83,8 @@ CommandLine::getInt(const std::string &name) const
     const Flag &f = find(name);
     char *end = nullptr;
     long v = std::strtol(f.value.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        fatal("flag --", name, " expects an integer, got '", f.value, "'");
+    CHOPIN_CHECK(!f.value.empty() && *end == '\0', "flag --", name,
+                 " expects an integer, got '", f.value, "'");
     return v;
 }
 
@@ -96,8 +94,8 @@ CommandLine::getDouble(const std::string &name) const
     const Flag &f = find(name);
     char *end = nullptr;
     double v = std::strtod(f.value.c_str(), &end);
-    if (end == nullptr || *end != '\0')
-        fatal("flag --", name, " expects a number, got '", f.value, "'");
+    CHOPIN_CHECK(!f.value.empty() && *end == '\0', "flag --", name,
+                 " expects a number, got '", f.value, "'");
     return v;
 }
 
@@ -109,7 +107,8 @@ CommandLine::getBool(const std::string &name) const
         return true;
     if (f.value == "false" || f.value == "0")
         return false;
-    fatal("flag --", name, " expects true/false, got '", f.value, "'");
+    CHOPIN_CHECK(false, "flag --", name, " expects true/false, got '",
+                 f.value, "'");
 }
 
 void

@@ -3,8 +3,9 @@
  * Tiny command-line flag parser shared by the bench and example binaries.
  *
  * Supports --name=value and --name value forms plus boolean switches
- * (--name). Unknown flags are fatal so that typos in sweep scripts are
- * caught rather than silently ignored.
+ * (--name). Every malformed argument fails a check (util/check.hh), so a
+ * typo in a sweep script is caught rather than silently ignored: under
+ * setCliCheckTool() the tool prints "<tool>: error: ..." and exits 2.
  */
 
 #ifndef CHOPIN_UTIL_CLI_HH
@@ -29,12 +30,14 @@ class CommandLine
                  const std::string &help);
 
     /**
-     * Parse argv. Prints help and exits on --help; fatal() on unknown
-     * flags or missing values.
+     * Parse argv. Prints help and exits on --help; fails a check on an
+     * unknown flag or a missing value.
      */
     void parse(int argc, char **argv);
 
-    /** Accessors; fatal() if @p name was never registered. */
+    /** Accessors. Each fails a check if @p name was never registered, and
+     *  getInt/getDouble/getBool if the value is empty or does not parse
+     *  whole. */
     std::string getString(const std::string &name) const;
     long getInt(const std::string &name) const;
     double getDouble(const std::string &name) const;

@@ -44,17 +44,17 @@ TEST(InterconnectInvariants, FlowConservationHoldsOnIdleNetwork)
     net.checkDrained(0);
 }
 
-TEST(InterconnectInvariants, InflightDrainsAtDeliveryTimes)
+TEST(InterconnectInvariants, CheckDrainedWaitsForLatestDelivery)
 {
+    ScopedCheckHandler guard(throwHandler);
     Interconnect net(2, {64.0, 100});
     Tick d1 = net.transfer(0, 1, 64, 0, TrafficClass::Composition);
     Tick d2 = net.transfer(0, 1, 64, 0, TrafficClass::Composition);
     ASSERT_LT(d1, d2); // serialized on the egress port
-    EXPECT_EQ(net.inflightAfter(0), 2u);
-    EXPECT_EQ(net.inflightAfter(d1 - 1), 2u);
-    EXPECT_EQ(net.inflightAfter(d1), 1u);
-    EXPECT_EQ(net.inflightAfter(d2), 0u);
-    EXPECT_EQ(net.lastDelivery(), d2);
+    // One message is still in flight until the second delivery.
+    EXPECT_THROW(net.checkDrained(d1), CheckFailure);
+    EXPECT_THROW(net.checkDrained(d2 - 1), CheckFailure);
+    EXPECT_NO_THROW(net.checkDrained(d2));
 }
 
 TEST(InterconnectInvariants, CheckDrainedPassesAtFrameEnd)

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "util/check.hh"
+#include "util/thread_pool.hh"
 
 namespace chopin
 {
@@ -167,6 +171,30 @@ TEST(CheckDeath, CliHandlerFallsBackToConditionText)
             CHOPIN_CHECK(argc >= 1);
         },
         ::testing::ExitedWithCode(2), "demo_tool: error: argc >= 1");
+}
+
+TEST(CheckDeath, CliHandlerReportsOnceWhenWorkersFailTogether)
+{
+    // Four threads fail the same check at once: the first to reach the
+    // handler prints and ends the process, the others must print nothing.
+    EXPECT_EXIT(
+        {
+            setCliCheckTool("demo_tool");
+            constexpr unsigned threads = 4;
+            ThreadPool pool(threads);
+            std::atomic<unsigned> arrived{0};
+            pool.parallelFor(threads, [&](std::size_t) {
+                // Hold every chunk until all threads have one (or 10 s
+                // pass), so the checks fail as close together as they can.
+                arrived.fetch_add(1);
+                using Clock = std::chrono::steady_clock;
+                const auto deadline = Clock::now() + std::chrono::seconds(10);
+                while (arrived.load() < threads && Clock::now() < deadline)
+                    std::this_thread::yield();
+                CHOPIN_CHECK(false, "worker failed");
+            });
+        },
+        ::testing::ExitedWithCode(2), "^demo_tool: error: worker failed\n$");
 }
 
 } // namespace

@@ -49,41 +49,5 @@ TEST(ResourceDeath, ClaimOverflowingTickHorizonPanics)
 }
 #endif
 
-TEST(Occupancy, CountsWithinCapacity)
-{
-    Occupancy occ(3);
-    EXPECT_TRUE(occ.empty());
-    occ.acquire(2);
-    occ.acquire();
-    EXPECT_EQ(occ.used(), 3u);
-    EXPECT_EQ(occ.capacity(), 3u);
-    occ.release(3);
-    EXPECT_TRUE(occ.empty());
-}
-
-TEST(Occupancy, UnboundedByDefault)
-{
-    Occupancy occ;
-    occ.acquire(1u << 20);
-    EXPECT_EQ(occ.used(), 1u << 20);
-}
-
-#if CHOPIN_CHECK_LEVEL >= 1
-TEST(OccupancyDeath, AcquireAboveCapacityPanics)
-{
-    Occupancy occ(2);
-    occ.acquire(2);
-    EXPECT_DEATH(occ.acquire(), "occupancy above capacity");
-}
-
-TEST(OccupancyDeath, ReleaseBelowZeroPanics)
-{
-    Occupancy occ(4);
-    occ.acquire();
-    occ.release();
-    EXPECT_DEATH(occ.release(), "occupancy below zero");
-}
-#endif
-
 } // namespace
 } // namespace chopin

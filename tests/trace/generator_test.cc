@@ -3,6 +3,7 @@
 #include <set>
 
 #include "trace/generator.hh"
+#include "util/check.hh"
 
 namespace chopin
 {
@@ -132,8 +133,14 @@ TEST(Profiles, AllEightExist)
 
 TEST(Profiles, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(benchmarkProfile("doom"), ::testing::ExitedWithCode(1),
-                "unknown benchmark");
+    EXPECT_EXIT(
+        {
+            setCliCheckTool("trace_gen");
+            benchmarkProfile("doom");
+        },
+        ::testing::ExitedWithCode(2),
+        "^trace_gen: error: unknown benchmark 'doom' \\(expected one of: "
+        "cod2 cry grid mirror nfs stal ut3 wolf\\)\n$");
 }
 
 TEST(Profiles, ScalingKeepsStructureFeasible)

@@ -145,8 +145,8 @@ TEST(TraceIo, RejectsUnsupportedVersionCleanly)
     std::string path = ::testing::TempDir() + "/chopin_badver.bin";
     ASSERT_TRUE(saveTrace(original, path));
     // Patch the version word (bytes 4..7, after the magic) to a future
-    // version: the loaders must return false with a diagnostic, not
-    // fatal() — callers decide whether that is fatal for them.
+    // version: the loaders must return false with a diagnostic, not fail
+    // a check — callers decide whether that is fatal for them.
     {
         std::FILE *f = std::fopen(path.c_str(), "r+b");
         ASSERT_NE(f, nullptr);

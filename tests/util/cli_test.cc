@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <vector>
 
+#include "util/check.hh"
 #include "util/cli.hh"
 
 namespace chopin
@@ -29,6 +31,25 @@ class Argv
     std::vector<std::string> strings;
     std::vector<char *> ptrs;
 };
+
+[[noreturn]] void
+throwHandler(const CheckFailure &failure)
+{
+    throw failure;
+}
+
+/** The message of the check @p fn fails, or "" if it fails none. */
+std::string
+failureOf(const std::function<void()> &fn)
+{
+    ScopedCheckHandler guard(throwHandler);
+    try {
+        fn();
+    } catch (const CheckFailure &f) {
+        return f.message;
+    }
+    return "";
+}
 
 CommandLine
 makeCli()
@@ -95,23 +116,56 @@ TEST(CommandLineDeath, UnknownFlagIsFatal)
 {
     EXPECT_EXIT(
         {
+            setCliCheckTool("prog");
             CommandLine cli = makeCli();
             Argv a({"prog", "--bogus=1"});
             cli.parse(a.argc(), a.argv());
         },
-        ::testing::ExitedWithCode(1), "unknown flag");
+        ::testing::ExitedWithCode(2),
+        "^prog: error: unknown flag --bogus \\(try --help\\)\n$");
 }
 
 TEST(CommandLineDeath, NonNumericIntIsFatal)
 {
     EXPECT_EXIT(
         {
+            setCliCheckTool("prog");
             CommandLine cli = makeCli();
             Argv a({"prog", "--count=abc"});
             cli.parse(a.argc(), a.argv());
             cli.getInt("count");
         },
-        ::testing::ExitedWithCode(1), "expects an integer");
+        ::testing::ExitedWithCode(2),
+        "^prog: error: flag --count expects an integer, got 'abc'\n$");
+}
+
+TEST(CommandLine, MalformedArgumentsFailChecks)
+{
+    // An empty numeric value is rejected, not read as 0.
+    CommandLine empty = makeCli();
+    Argv a({"prog", "--count=", "--ratio="});
+    empty.parse(a.argc(), a.argv());
+    EXPECT_EQ(failureOf([&] { empty.getInt("count"); }),
+              "flag --count expects an integer, got ''");
+    EXPECT_EQ(failureOf([&] { empty.getDouble("ratio"); }),
+              "flag --ratio expects a number, got ''");
+
+    CommandLine cli = makeCli();
+    Argv b({"prog", "--count=12x", "--ratio=half", "--verbose=yes"});
+    cli.parse(b.argc(), b.argv());
+    EXPECT_EQ(failureOf([&] { cli.getInt("count"); }),
+              "flag --count expects an integer, got '12x'");
+    EXPECT_EQ(failureOf([&] { cli.getDouble("ratio"); }),
+              "flag --ratio expects a number, got 'half'");
+    EXPECT_EQ(failureOf([&] { cli.getBool("verbose"); }),
+              "flag --verbose expects true/false, got 'yes'");
+    EXPECT_EQ(failureOf([&] { cli.getString("colour"); }),
+              "flag --colour was never registered");
+
+    CommandLine trailing = makeCli();
+    Argv c({"prog", "--count"});
+    EXPECT_EQ(failureOf([&] { trailing.parse(c.argc(), c.argv()); }),
+              "flag --count requires a value");
 }
 
 TEST(CheckWritablePath, RemovesOnlyTheFileItCreated)

@@ -67,7 +67,7 @@ SRC_EXTENSIONS = (".hh", ".cc")
 
 
 def moduleOf(rel: str) -> str:
-    """Module name of a path relative to src/ ("util/log.hh" -> "util")."""
+    """Module name of a path relative to src/ ("util/check.hh" -> "util")."""
     return rel.split("/", 1)[0]
 
 
@@ -217,15 +217,15 @@ def runCheck(root: pathlib.Path, json_out: str | None) -> int:
 # injected violation").
 
 CLEAN_TREE = {
-    "util/log.hh": "#pragma once\n",
-    "gfx/raster.hh": '#pragma once\n#include "util/log.hh"\n',
+    "util/check.hh": "#pragma once\n",
+    "gfx/raster.hh": '#pragma once\n#include "util/check.hh"\n',
     "trace/trace.hh": '#pragma once\n#include "gfx/raster.hh"\n',
-    "sfr/scheme.cc": '#include "gfx/raster.hh"\n#include "util/log.hh"\n',
+    "sfr/scheme.cc": '#include "gfx/raster.hh"\n#include "util/check.hh"\n',
 }
 
 BAD_TREES = {
     "upward include (util -> sfr)": {
-        "util/log.hh": '#pragma once\n#include "sfr/scheme.hh"\n',
+        "util/check.hh": '#pragma once\n#include "sfr/scheme.hh"\n',
         "sfr/scheme.hh": "#pragma once\n",
     },
     "same-layer include (gfx -> sim)": {
@@ -233,8 +233,8 @@ BAD_TREES = {
         "sim/event.hh": "#pragma once\n",
     },
     "../ escape": {
-        "gfx/raster.hh": '#pragma once\n#include "../util/log.hh"\n',
-        "util/log.hh": "#pragma once\n",
+        "gfx/raster.hh": '#pragma once\n#include "../util/check.hh"\n',
+        "util/check.hh": "#pragma once\n",
     },
     "bare include hides the edge": {
         "gfx/raster.hh": '#pragma once\n#include "surface.hh"\n',

@@ -19,7 +19,6 @@
 #include "core/chopin.hh"
 #include "stats/tracer.hh"
 #include "util/check.hh"
-#include "util/log.hh"
 
 namespace
 {
@@ -44,9 +43,9 @@ schemeByName(const std::string &name)
         return Scheme::ChopinCompSched;
     if (name == "chopin-ideal")
         return Scheme::ChopinIdeal;
-    chopin::fatal("unknown scheme '", name,
-                  "' (single dup gpupd gpupd-ideal chopin chopin-rr "
-                  "chopin+cs chopin-ideal)");
+    CHOPIN_CHECK(false, "unknown scheme '", name,
+                 "' (single dup gpupd gpupd-ideal chopin chopin-rr "
+                 "chopin+cs chopin-ideal)");
 }
 
 } // namespace
@@ -69,8 +68,8 @@ main(int argc, char **argv)
                 "(open in Perfetto or chrome://tracing; empty = off)");
     cli.addFlag("verify", "true", "compare against single-GPU reference");
     cli.parse(argc, argv);
-    if (cli.positional().size() != 1)
-        fatal("usage: render_trace <file.trace> [flags]");
+    CHOPIN_CHECK(cli.positional().size() == 1,
+                 "usage: render_trace <file.trace> [flags]");
 
     // Validate every output path before the (potentially long) simulation.
     std::string out_path = cli.getString("out");
@@ -81,12 +80,12 @@ main(int argc, char **argv)
 
     // The loader has already warned why the file was rejected.
     FrameTrace trace;
-    if (!loadTrace(trace, cli.positional()[0]))
-        fatal("trace '", cli.positional()[0], "' rejected");
+    const bool loaded = loadTrace(trace, cli.positional()[0]);
+    CHOPIN_CHECK(loaded, "trace '", cli.positional()[0], "' rejected");
 
     long gpus = cli.getInt("gpus");
-    CHOPIN_CHECK(gpus >= 1 && gpus <= 64,
-                 "--gpus must be in [1, 64], got ", gpus);
+    CHOPIN_CHECK(gpus >= 1 && gpus <= maxGpus,
+                 "--gpus must be in [1, ", maxGpus, "], got ", gpus);
 
     SystemConfig cfg;
     cfg.num_gpus = static_cast<unsigned>(gpus);
@@ -104,26 +103,24 @@ main(int argc, char **argv)
         Image reference;
         runSingleGpu(cfg, trace, nullptr, &reference);
         ImageDiff diff = compareImages(reference, image, 2e-4f);
-        if (diff.differing_pixels != 0)
-            fatal("image mismatch: ", diff.differing_pixels,
-                  " pixels differ from the single-GPU reference");
+        CHOPIN_CHECK(diff.differing_pixels == 0,
+                     "image mismatch: ", diff.differing_pixels,
+                     " pixels differ from the single-GPU reference");
         std::cout << "verified: image matches the single-GPU reference\n";
     }
 
     if (!trace_out.empty()) {
         std::ofstream os(trace_out, std::ios::binary | std::ios::trunc);
-        if (!os)
-            fatal("cannot write '", trace_out, "'");
+        CHOPIN_CHECK(os.good(), "cannot write '", trace_out, "'");
         tracer.exportChromeJson(os);
         os.flush();
-        if (!os)
-            fatal("error while writing '", trace_out, "'");
+        CHOPIN_CHECK(os.good(), "error while writing '", trace_out, "'");
         std::cout << "wrote " << trace_out << " (" << tracer.spanCount()
                   << " spans)\n";
     }
 
-    if (!image.writePpm(out_path))
-        fatal("cannot write '", out_path, "'");
+    const bool written = image.writePpm(out_path);
+    CHOPIN_CHECK(written, "cannot write '", out_path, "'");
     std::cout << "wrote " << out_path << "\n";
     return 0;
 }

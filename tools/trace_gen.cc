@@ -16,7 +16,6 @@
 #include "core/chopin.hh"
 #include "trace/generator.hh"
 #include "util/check.hh"
-#include "util/log.hh"
 
 namespace
 {
@@ -33,7 +32,6 @@ parseCameraPath(const std::string &name)
         return CameraPath::Dolly;
     CHOPIN_CHECK(false, "--path must be static, orbit or dolly, got '",
                  name, "'");
-    return CameraPath::Static; // unreachable
 }
 
 } // namespace
@@ -81,8 +79,8 @@ main(int argc, char **argv)
         std::string out = cli.getString("out");
         if (out.empty())
             out = seq.base.name + ".trace";
-        if (!saveSequence(seq, out))
-            fatal("cannot write '", out, "'");
+        const bool saved = saveSequence(seq, out);
+        CHOPIN_CHECK(saved, "cannot write '", out, "'");
         std::cout << "wrote " << out << ": " << seq.frameCount()
                   << " frames (" << toString(seq.path) << " camera), "
                   << seq.base.draws.size() << " draws, "
@@ -96,8 +94,8 @@ main(int argc, char **argv)
     std::string out = cli.getString("out");
     if (out.empty())
         out = trace.name + ".trace";
-    if (!saveTrace(trace, out))
-        fatal("cannot write '", out, "'");
+    const bool saved = saveTrace(trace, out);
+    CHOPIN_CHECK(saved, "cannot write '", out, "'");
 
     std::cout << "wrote " << out << ": " << trace.draws.size() << " draws, "
               << trace.totalTriangles() << " triangles, "

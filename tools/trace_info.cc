@@ -14,24 +14,32 @@
 #include <iostream>
 
 #include "core/chopin.hh"
-#include "util/log.hh"
+#include "util/check.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace chopin;
 
+    // Malformed arguments produce a "trace_info: error: ..." line and exit
+    // code 2 instead of an assertion abort deep inside the library.
+    setCliCheckTool("trace_info");
+
     CommandLine cli("inspect a CHOPIN trace file");
     cli.addFlag("threshold", "4096",
                 "composition-group primitive threshold");
     cli.parse(argc, argv);
-    if (cli.positional().size() != 1)
-        fatal("usage: trace_info <file.trace> [--threshold=N]");
+    CHOPIN_CHECK(cli.positional().size() == 1,
+                 "usage: trace_info <file.trace> [--threshold=N]");
+    long threshold_raw = cli.getInt("threshold");
+    CHOPIN_CHECK(threshold_raw >= 0,
+                 "--threshold must be non-negative, got ", threshold_raw);
+    const auto threshold = static_cast<std::uint64_t>(threshold_raw);
 
     // The loader has already warned why the file was rejected.
     SequenceTrace seq;
-    if (!loadSequence(seq, cli.positional()[0]))
-        fatal("trace '", cli.positional()[0], "' rejected");
+    const bool loaded = loadSequence(seq, cli.positional()[0]);
+    CHOPIN_CHECK(loaded, "trace '", cli.positional()[0], "' rejected");
     const FrameTrace &trace = seq.base;
 
     if (seq.frameCount() > 1) {
@@ -62,8 +70,6 @@ main(int argc, char **argv)
               << " draws\n"
               << "  render targets:  " << trace.num_render_targets << "\n\n";
 
-    std::uint64_t threshold =
-        static_cast<std::uint64_t>(cli.getInt("threshold"));
     auto groups = formGroups(trace);
     TextTable table({"group", "draws", "triangles", "state", "opened by",
                      "CHOPIN mode"});
