@@ -263,24 +263,10 @@ Harness::parse(int argc, char **argv)
     setCliCheckTool(programName(argc, argv));
     cli.parse(argc, argv);
 
-    long scale = cli.getInt("scale");
-    CHOPIN_CHECK(scale >= 1 && scale <= 1000000,
-                 "--scale must be in [1, 1000000], got ", scale);
-    scale_div = static_cast<int>(scale);
-
-    long gpus_raw = cli.getInt("gpus");
-    CHOPIN_CHECK(gpus_raw >= 1 && gpus_raw <= maxGpus,
-                 "--gpus must be in [1, ", maxGpus, "], got ", gpus_raw);
-    gpu_count = static_cast<unsigned>(gpus_raw);
-
-    long jobs = cli.getInt("jobs");
-    CHOPIN_CHECK(jobs >= 0 && jobs <= 1024,
-                 "--jobs must be in [0, 1024], got ", jobs);
-    setGlobalJobs(static_cast<unsigned>(jobs));
-
-    long sweep_jobs = cli.getInt("sweep-jobs");
-    CHOPIN_CHECK(sweep_jobs >= 0 && sweep_jobs <= 1024,
-                 "--sweep-jobs must be in [0, 1024], got ", sweep_jobs);
+    scale_div = static_cast<int>(cli.getIntIn("scale", 1, maxScaleDivisor));
+    gpu_count = static_cast<unsigned>(cli.getIntIn("gpus", 1, maxGpus));
+    setGlobalJobs(static_cast<unsigned>(cli.getIntIn("jobs", 0, 1024)));
+    long sweep_jobs = cli.getIntIn("sweep-jobs", 0, 1024);
 
     // Output paths fail fast, before any simulation runs.
     if (trace_out_flag) {

@@ -8,9 +8,12 @@
  * ablation harness prefetches (Figs. 2-22, scheduler-traffic and ablation
  * tables), and runs it twice in-process:
  *
- *   1. cold-serial — a fresh runner, scenarios strictly serial, disk-cache
- *      reads disabled (computes everything; stores into the cache). This is
- *      the wall-clock baseline "one figure at a time" corresponds to.
+ *   1. cold-serial — a fresh runner prefetches each figure's grid with
+ *      scenarios strictly serial and disk-cache reads disabled (computes
+ *      everything; stores into the cache). This is the wall-clock baseline
+ *      "one figure at a time" corresponds to. Each functional family
+ *      renders once and its other members replay its log (core/sweep.hh);
+ *      the computed and replayed counts are reported.
  *   2. warm-parallel — a second fresh runner on the same cache directory,
  *      scenario-parallel (`--sweep-jobs` wide), reading the entries phase 1
  *      stored.
@@ -83,6 +86,7 @@ emitStats(JsonWriter &w, const char *label, const SweepStats &s)
     w.key(label);
     w.beginObject();
     w.field("computed", s.computed);
+    w.field("replayed", s.replayed);
     w.field("memo_hits", s.memo_hits);
     w.field("disk_hits", s.disk_hits);
     w.field("disk_rejected", s.disk_rejected);
@@ -123,7 +127,7 @@ main(int argc, char **argv)
 
     // --- Phase 1: cold serial (the baseline) -----------------------------
     // Fresh runner, scenarios serial, inner rendering serial, cache reads
-    // disabled; everything is computed and stored.
+    // disabled; everything is computed (rendered or replayed) and stored.
     setGlobalJobs(1);
     SweepOptions cold_opts;
     cold_opts.sweep_jobs = 1;
@@ -136,10 +140,7 @@ main(int argc, char **argv)
         FigureTimes t;
         t.name = fig.name;
         t.scenarios = fig.grid.size();
-        t.cold_ns = elapsedNs([&] {
-            for (const Scenario &s : fig.grid)
-                cold.run(s);
-        });
+        t.cold_ns = elapsedNs([&] { cold.prefetch(fig.grid); });
         for (const Scenario &s : fig.grid) {
             const FrameResult &r = cold.run(s);
             t.hash_mix ^= r.frame_hash;
@@ -215,6 +216,9 @@ main(int argc, char **argv)
     std::cout << "verified " << verified
               << " scenario results bit-identical (cold-serial vs "
                  "warm-parallel)\n"
+              << "cold phase: " << cold_stats.computed << " computed, "
+              << cold_stats.replayed << " of them replayed from a family "
+                 "log\n"
               << "warm-phase cache hit rate: " << percent(hit_rate) << " ("
               << warm_stats.disk_hits << " disk, " << warm_stats.memo_hits
               << " memo, " << warm_stats.computed << " computed, "

@@ -120,7 +120,7 @@ main(int argc, char **argv)
               << trace.totalTriangles() << " triangles\n";
 
     SystemConfig cfg;
-    cfg.num_gpus = static_cast<unsigned>(cli.getInt("gpus"));
+    cfg.num_gpus = static_cast<unsigned>(cli.getIntIn("gpus", 1, maxGpus));
     cfg.group_threshold = 1; // the scene is tiny; distribute anyway
 
     Image reference_image, chopin_image;

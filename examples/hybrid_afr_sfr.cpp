@@ -39,6 +39,7 @@ main(int argc, char **argv)
 
     SystemConfig cfg;
     cfg.num_gpus = 16;
+    long scale = cli.getIntIn("scale", 1, maxScaleDivisor);
 
     // An animation: one shared-geometry sequence with a camera spline and
     // per-object animation channels (trace/generator.hh), so consecutive
@@ -51,11 +52,10 @@ main(int argc, char **argv)
                   : path_name == "dolly" ? CameraPath::Dolly
                                          : CameraPath::Orbit;
     SequenceTrace seq = generateBenchmarkSequence(
-        cli.getString("bench"), static_cast<int>(cli.getInt("scale")),
-        params);
+        cli.getString("bench"), static_cast<int>(scale), params);
 
     std::cout << "hybrid AFR+SFR on " << cfg.num_gpus << " GPUs, '"
-              << seq.base.name << "' (1/" << cli.getInt("scale")
+              << seq.base.name << "' (1/" << scale
               << " scale), " << seq.frameCount() << "-frame "
               << toString(seq.path) << " sequence\n\n";
 

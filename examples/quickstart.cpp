@@ -30,12 +30,13 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
 
     SystemConfig cfg;
-    cfg.num_gpus = static_cast<unsigned>(cli.getInt("gpus"));
+    cfg.num_gpus = static_cast<unsigned>(cli.getIntIn("gpus", 1, maxGpus));
+    long scale = cli.getIntIn("scale", 1, maxScaleDivisor);
 
     std::cout << "generating trace '" << cli.getString("bench") << "' (1/"
-              << cli.getInt("scale") << " scale)...\n";
+              << scale << " scale)...\n";
     FrameTrace trace = generateBenchmark(cli.getString("bench"),
-                                         static_cast<int>(cli.getInt("scale")));
+                                         static_cast<int>(scale));
     std::cout << "  " << trace.draws.size() << " draws, "
               << trace.totalTriangles() << " triangles, "
               << trace.viewport.width << "x" << trace.viewport.height

@@ -24,7 +24,8 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
 
     FrameTrace trace = generateBenchmark(
-        cli.getString("bench"), static_cast<int>(cli.getInt("scale")));
+        cli.getString("bench"),
+        static_cast<int>(cli.getIntIn("scale", 1, maxScaleDivisor)));
     SystemConfig base;
     FrameResult single = runSingleGpu(base, trace);
 

@@ -28,9 +28,10 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
 
     SystemConfig cfg;
-    cfg.num_gpus = static_cast<unsigned>(cli.getInt("gpus"));
+    cfg.num_gpus = static_cast<unsigned>(cli.getIntIn("gpus", 1, maxGpus));
     FrameTrace trace = generateBenchmark(
-        cli.getString("bench"), static_cast<int>(cli.getInt("scale")));
+        cli.getString("bench"),
+        static_cast<int>(cli.getIntIn("scale", 1, maxScaleDivisor)));
 
     std::cout << "trace '" << trace.name << "': " << trace.draws.size()
               << " draws, " << trace.totalTriangles() << " triangles, "

@@ -40,6 +40,32 @@ scenarioFingerprint(Scheme scheme, std::uint64_t trace_fp,
     return fp.value();
 }
 
+std::optional<std::uint64_t>
+familyKey(Scheme scheme, std::uint64_t trace_fp, const SystemConfig &cfg)
+{
+    FunctionalClass cls = functionalClass(scheme);
+    if (cls == FunctionalClass::None)
+        return std::nullopt;
+    // Reset what only the timing model reads; everything else, a field
+    // added later included, stays in the key.
+    SystemConfig functional = cfg;
+    const SystemConfig defaults;
+    functional.timing = defaults.timing;
+    functional.link = defaults.link;
+    functional.cull_retention = defaults.cull_retention;
+    functional.comp_payload = defaults.comp_payload;
+    functional.gpupd_batch_prims = defaults.gpupd_batch_prims;
+    functional.gpupd_runahead = defaults.gpupd_runahead;
+    functional.sched_update_tris = defaults.sched_update_tris;
+
+    Fingerprinter fp;
+    fp.str("FunctionalFamily/v1");
+    fp.u64(static_cast<std::uint64_t>(cls));
+    fp.u64(trace_fp);
+    fp.u64(functional.fingerprint());
+    return fp.value();
+}
+
 // --- FrameResult (de)serialization ----------------------------------------
 //
 // An entry is: magic/version/key header, scheme, the accounting block
@@ -293,7 +319,8 @@ SweepRunner::run(const Scenario &s)
 }
 
 const FrameResult &
-SweepRunner::runKeyed(const Scenario &s, std::uint64_t key)
+SweepRunner::runKeyed(const Scenario &s, std::uint64_t key,
+                      FunctionalLog *log)
 {
     {
         LockGuard lk(m);
@@ -323,12 +350,16 @@ SweepRunner::runKeyed(const Scenario &s, std::uint64_t key)
     }
 
     FrameResult computed;
+    bool replayed = false;
     {
         // The scenario owns a complete private simulation; inside an
         // outer-parallel sweep this clears the in-parallel flag and forces
         // the simulation's inner rendering serial (see thread_pool.hh).
         ScenarioRegion region;
-        computed = runScheme(s.scheme, s.cfg, trace(s.bench));
+        std::uint64_t replays = log != nullptr ? log->replays : 0;
+        computed = runScheme(s.scheme, s.cfg, trace(s.bench), nullptr,
+                             nullptr, log);
+        replayed = log != nullptr && log->replays > replays;
     }
 
     bool inserted;
@@ -339,6 +370,7 @@ SweepRunner::runKeyed(const Scenario &s, std::uint64_t key)
         inserted = ins;
         res = &it->second;
         counters.computed += 1;
+        counters.replayed += replayed ? 1 : 0;
     }
     // Only the inserting thread persists, so no two in-process writers
     // ever race on one entry; cross-process writers are isolated by the
@@ -372,26 +404,47 @@ SweepRunner::prefetch(const std::vector<Scenario> &grid)
                       });
 
     // Stage 2: resolve keys and deduplicate (identical cells appear in
-    // several figures' grids); first occurrence wins, so exactly one task
-    // per distinct scenario reaches the pool.
-    std::vector<const Scenario *> todo;
-    std::vector<std::uint64_t> keys;
+    // several figures' grids; first occurrence wins), then group the
+    // distinct scenarios into functional families in grid order. A
+    // SingleGpu scenario is a family of its own.
+    struct Member
+    {
+        const Scenario *scenario;
+        std::uint64_t key;
+    };
+    std::vector<std::vector<Member>> families;
+    std::map<std::uint64_t, std::size_t> family_index;
     std::set<std::uint64_t> seen_keys;
     for (const Scenario &s : grid) {
-        std::uint64_t key = scenarioFingerprint(
-            s.scheme, traceFp(s.bench), s.cfg, resultCacheVersion());
-        if (seen_keys.insert(key).second) {
-            todo.push_back(&s);
-            keys.push_back(key);
+        std::uint64_t trace_fp = traceFp(s.bench);
+        std::uint64_t key = scenarioFingerprint(s.scheme, trace_fp, s.cfg,
+                                                resultCacheVersion());
+        if (!seen_keys.insert(key).second)
+            continue;
+        std::optional<std::uint64_t> family =
+            familyKey(s.scheme, trace_fp, s.cfg);
+        if (!family) {
+            families.push_back({Member{&s, key}});
+            continue;
         }
+        auto [it, fresh] = family_index.emplace(*family, families.size());
+        if (fresh)
+            families.emplace_back();
+        families[it->second].push_back(Member{&s, key});
     }
 
-    // Stage 3: execute scenario-granular tasks concurrently.
-    pool->parallelFor(todo.size(), 1,
-                      [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t i = begin; i < end; ++i)
-                              runKeyed(*todo[i], keys[i]);
-                      });
+    // Stage 3: one task per family. Its log is a local of the task, so
+    // none outlives it and at most sweep_jobs exist at once.
+    pool->parallelFor(
+        families.size(), 1, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                FunctionalLog log;
+                FunctionalLog *shared =
+                    families[i].size() > 1 ? &log : nullptr;
+                for (const Member &member : families[i])
+                    runKeyed(*member.scenario, member.key, shared);
+            }
+        });
 }
 
 SweepStats

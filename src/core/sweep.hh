@@ -10,13 +10,13 @@
  * which gives both parallel execution and cache reuse a free correctness
  * oracle.
  *
- * SweepRunner exploits that in two stacked ways:
+ * SweepRunner exploits that in three stacked ways:
  *
  *  1. *Scenario parallelism* (the outer level): a declared grid of
  *     scenarios executes concurrently on a dedicated chopin::ThreadPool at
- *     one-simulation-per-task granularity. The outer-scenarios x
- *     inner-renderer-jobs split is explicit: when scenarios run in
- *     parallel, each simulation's inner rendering is forced serial
+ *     one-family-per-task granularity (3. below). The outer-scenarios x
+ *     inner-renderer-jobs split is explicit: when tasks run in parallel,
+ *     each simulation's inner rendering is forced serial
  *     (ThreadPool::ScenarioRegion), so the default is
  *     outer-parallel/inner-serial; with sweep_jobs = 1 the inner renderer
  *     parallelism (`--jobs`) flows through the global pool as before.
@@ -31,6 +31,14 @@
  *     truncated or version-mismatched entries are rejected and
  *     recomputed, never trusted and never fatal.
  *
+ *  3. *Functional families* (prefetch() only): scenarios whose functional
+ *     path reads the same inputs (familyKey()) run as one task. The first
+ *     member that computes renders and records a FunctionalLog
+ *     (sfr/functional_log.hh); every later member runs the timing model
+ *     live over the logged functional results. A log lives only as long
+ *     as its task, so at most sweep_jobs exist at once. run() never
+ *     replays.
+ *
  * See DESIGN.md §9 for the fingerprint scheme, the parallelism contract
  * and the cache invalidation rules; bench/sweep_all runs the whole figure
  * suite on top of this engine.
@@ -41,6 +49,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,7 +110,10 @@ struct SweepOptions
 /** Where each result came from (monotone counters; see stats()). */
 struct SweepStats
 {
-    std::uint64_t computed = 0;      ///< simulated from scratch
+    std::uint64_t computed = 0;      ///< simulated (timing model run live)
+    /** The part of computed that took its functional results from a
+     *  family member's FunctionalLog instead of rendering. */
+    std::uint64_t replayed = 0;
     std::uint64_t memo_hits = 0;     ///< served from the in-process memo
     std::uint64_t disk_hits = 0;     ///< loaded and validated from disk
     std::uint64_t disk_rejected = 0; ///< corrupt/stale entries recomputed
@@ -115,6 +127,19 @@ struct SweepStats
 std::uint64_t scenarioFingerprint(Scheme scheme, std::uint64_t trace_fp,
                                   const SystemConfig &cfg,
                                   std::uint32_t cache_version);
+
+/**
+ * The functional family of a scenario (DESIGN.md §9.4): scenarios with
+ * equal keys render the same draws into the same surfaces, so one run's
+ * FunctionalLog serves the others. Mixes @p trace_fp, the scheme's
+ * FunctionalClass, and the fingerprint of @p cfg with every timing-only
+ * field (timing, link, cull_retention, comp_payload, gpupd_batch_prims,
+ * gpupd_runahead, sched_update_tris) reset to its default, so any other
+ * field, one added later included, splits families. nullopt for
+ * SingleGpu, which joins no family.
+ */
+std::optional<std::uint64_t> familyKey(Scheme scheme, std::uint64_t trace_fp,
+                                       const SystemConfig &cfg);
 
 /** Outcome of a cache probe. */
 enum class CacheLoad
@@ -190,12 +215,15 @@ class SweepRunner
 
     /**
      * Enqueue and execute a whole grid before the first read: generates
-     * each distinct trace once, deduplicates scenarios by fingerprint, and
-     * executes the remainder concurrently on the runner's scenario pool
-     * (sweep_jobs wide). Subsequent run() calls for any scenario in the
-     * grid are memo hits. Results are bit-identical at any sweep_jobs
-     * value — scenarios are independent simulations and each one's inner
-     * parallelism contract is unchanged.
+     * each distinct trace once, deduplicates scenarios by fingerprint,
+     * groups the remainder into functional families (familyKey()), and
+     * executes one task per family concurrently on the runner's scenario
+     * pool (sweep_jobs wide). Within a task the members run in grid order;
+     * the first that computes records a FunctionalLog and later ones
+     * replay it. Subsequent run() calls for any scenario in the grid are
+     * memo hits. Results and counters are bit-identical at any sweep_jobs
+     * value: a family is one deterministic task, and each simulation's
+     * inner parallelism contract is unchanged.
      */
     void prefetch(const std::vector<Scenario> &grid);
 
@@ -211,8 +239,10 @@ class SweepRunner
     /** trace() + traceFp() share this lookup. */
     const TraceEntry &traceEntry(const std::string &bench);
 
-    /** Compute-or-fetch one scenario given its resolved key. */
-    const FrameResult &runKeyed(const Scenario &s, std::uint64_t key);
+    /** Compute-or-fetch one scenario given its resolved key; a computed
+     *  one records into or replays from @p log when given. */
+    const FrameResult &runKeyed(const Scenario &s, std::uint64_t key,
+                                FunctionalLog *log = nullptr);
 
     // Immutable after construction (normalized/created in the ctor's
     // init list), so scenario workers read them without locking.

@@ -18,6 +18,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <optional>
 
 #include "comp/operators.hh"
 #include "gfx/renderer.hh"
@@ -55,7 +56,8 @@ struct ChopinRun
     SimContext &ctx;
     const ChopinOptions &opts;
     DrawCommandScheduler sched;
-    /** Per-GPU sub-images, taken from the thread's surface cache. */
+    /** Per-GPU sub-images, taken from the thread's surface cache (none
+     *  while replaying). */
     std::vector<Surface> subs;
     /** Blocks per tile edge: the merges and the payload count walk each
      *  tile's 8x8 blocks. */
@@ -64,6 +66,14 @@ struct ChopinRun
     int blocks_x = 0;
     int blocks_y = 0;
     Tick t = 0;
+    /** The next logged group a replay reads. */
+    std::size_t replay_group = 0;
+    /** The distributed group being scheduled: its assignment, and unless
+     *  the run replays, its functional results. Reused from group to group
+     *  (a recording run copies each group into the log). */
+    LoggedGroup current;
+    /** Per GPU, the tiles its sub-image wrote: [g * tileCount() + tile]. */
+    std::vector<std::uint8_t> touched;
 
     ChopinRun(SimContext &sim_ctx, const ChopinOptions &run_opts)
         : ctx(sim_ctx), opts(run_opts),
@@ -76,6 +86,8 @@ struct ChopinRun
                      " is not a multiple of the ", Surface::blockEdge,
                      "-pixel written-mask block");
         tile_blocks = ctx.grid.tileSize() / Surface::blockEdge;
+        if (ctx.replaying)
+            return;
         SurfaceCache &cache = threadRenderScratch().surfaces;
         subs.reserve(ctx.cfg.num_gpus);
         for (unsigned g = 0; g < ctx.cfg.num_gpus; ++g)
@@ -134,35 +146,28 @@ struct ChopinRun
      *     see if each earlier draw had been submitted whole. Transparent
      *     draws take contiguous equal-triangle chunks, which preserve the
      *     input order: GPU g renders draws strictly earlier than GPU g+1.
-     *  2. On one pool worker per GPU: reset the GPU's sub-image to the
-     *     group's clear value, render the GPU's draws into it in draw
-     *     order, and count its composition payload. Every GPU resets, drawn
-     *     to or not, because the merges read every GPU's masks. The work is
-     *     purely functional: it touches neither the scheduler nor the pipes.
+     *  2. Render the group (renderGroup()), or while replaying take the
+     *     next logged group, whose assignment must equal this one.
      *  3. In draw order, add each draw's stats to the totals and submit
      *     its back end, which claims the same stage times and emits the
      *     same spans as submitDraw().
-     *  4. Time the composition from each GPU's readiness, then merge the
-     *     sub-images into the render target.
+     *  4. Time the composition from each GPU's readiness, flag the tiles
+     *     the merge writes dirty, then merge the sub-images into the
+     *     render target.
+     *
+     * @return false when a replay's assignment differs from the log's;
+     *         the run is then void.
      */
-    void
+    bool
     runDistributed(const CompositionGroup &group)
     {
         unsigned n = ctx.cfg.num_gpus;
         bool transparent = group.transparent();
-        // Opaque sub-images clear to depth 0 under a depth test that
-        // prefers larger values (reversed Z); transparent ones clear to the
-        // blend operator's identity.
-        Color clear_color =
-            transparent ? transparentIdentity(group.blend_op) : Color();
-        float clear_z = (!transparent && group.depth_test &&
-                         !prefersSmaller(group.depth_func))
-                            ? 0.0f
-                            : 1.0f;
 
         Tick group_start = t;
         std::uint32_t count = group.drawCount();
-        std::vector<GpuId> assignment(count, 0);
+        std::vector<GpuId> &assignment = current.assignment;
+        assignment.assign(count, 0);
         std::uint64_t chunk_share =
             std::max<std::uint64_t>(1, group.triangles / n);
         std::uint64_t acc = 0;
@@ -188,36 +193,35 @@ struct ChopinRun
             t += ctx.cfg.timing.driver_issue_cycles;
         }
 
+        const LoggedGroup *functional = &current;
+        if (ctx.replaying) {
+            CHOPIN_CHECK(replay_group < ctx.log->groups.size(),
+                         "a replay reached more distributed groups than "
+                         "the log holds");
+            functional = &ctx.log->groups[replay_group++];
+            if (functional->assignment != assignment)
+                return false;
+        } else {
+            renderGroup(group);
+        }
+
+        const PayloadRows &rows =
+            functional->payload[static_cast<std::size_t>(
+                ctx.cfg.comp_payload)];
         CompositionJob job;
         job.num_gpus = n;
         job.screen_pixels = static_cast<std::uint64_t>(ctx.vp.width) *
                             static_cast<std::uint64_t>(ctx.vp.height);
         job.ready.resize(n);
-        job.pair_pixels.assign(static_cast<std::size_t>(n) * n, 0);
-        job.self_pixels.assign(n, 0);
-        job.subimage_pixels.assign(n, 0);
-        std::vector<DrawStats> draw_stats(count);
-        // Worker g writes only subs[g], the stats slots of its own draws
-        // and row g of the job. ctx is aliased only for the immutable
-        // cfg/grid/trace/viewport inputs; workers never reach ctx.tracer.
-        globalPool().parallelFor(n, [&](std::size_t gi) {
-            unsigned g = static_cast<unsigned>(gi);
-            subs[g].reset(clear_color, clear_z);
-            for (std::uint32_t k = 0; k < count; ++k) {
-                if (assignment[k] != g)
-                    continue;
-                const DrawCommand &cmd =
-                    ctx.trace.draws[group.first_draw + k];
-                draw_stats[k] =
-                    renderDraw(subs[g], ctx.vp, ctx.drawInput(cmd));
-            }
-            countPayload(g, job);
-        });
+        job.pair_pixels = rows.pair_pixels;
+        job.self_pixels = rows.self_pixels;
+        job.subimage_pixels = rows.subimage_pixels;
 
         for (std::uint32_t k = 0; k < count; ++k) {
-            ctx.totals += draw_stats[k];
-            ctx.pipes[assignment[k]].submitBackEnd(
-                ctx.applyCullRetention(draw_stats[k]));
+            const DrawStats &stats = functional->draw_stats[k];
+            ctx.totals += stats;
+            ctx.pipes[functional->assignment[k]].submitBackEnd(
+                ctx.applyCullRetention(stats));
         }
         for (unsigned g = 0; g < n; ++g)
             job.ready[g] = std::max(group_start, ctx.pipes[g].finishTime());
@@ -247,66 +251,144 @@ struct ChopinRun
         }
         t = std::max(t, timing.end);
 
+        std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
+        for (std::uint32_t tile : functional->merged_tiles)
+            dirty[tile] = 1;
+        if (ctx.replaying)
+            return true;
         if (transparent)
             foldTransparent(group);
         else
             selectOpaque(group);
+        if (ctx.log != nullptr)
+            ctx.log->groups.push_back(current);
+        return true;
     }
 
     /**
-     * Count GPU @p g's composition payload into row g of @p job. Untouched
-     * 64x64 tiles are filtered out entirely (Section VI-C: "we also filter
-     * out the screen tiles that are not rendered by any draw command");
-     * within a touched tile the payload moves at DMA-burst granularity —
-     * any 8x8 sub-tile containing a written pixel is transferred whole.
-     * This sits between idealized per-pixel masking and naive whole-tile
+     * The functional half of a distributed group, on one pool worker per
+     * GPU: reset the GPU's sub-image to the group's clear value, render
+     * the GPU's draws (per current.assignment) into it in draw order, and
+     * count its composition payload. Every GPU resets, drawn to or not,
+     * because the merges read every GPU's masks. The work is purely
+     * functional: it touches neither the scheduler nor the pipes. Fills
+     * current's draw stats, payload rows and merged tiles: the tiles in
+     * which any sub-image holds a written pixel.
+     */
+    void
+    renderGroup(const CompositionGroup &group)
+    {
+        LoggedGroup &out = current;
+        unsigned n = ctx.cfg.num_gpus;
+        bool transparent = group.transparent();
+        // Opaque sub-images clear to depth 0 under a depth test that
+        // prefers larger values (reversed Z); transparent ones clear to the
+        // blend operator's identity.
+        Color clear_color =
+            transparent ? transparentIdentity(group.blend_op) : Color();
+        float clear_z = (!transparent && group.depth_test &&
+                         !prefersSmaller(group.depth_func))
+                            ? 0.0f
+                            : 1.0f;
+
+        std::uint32_t count = group.drawCount();
+        out.draw_stats.assign(count, DrawStats{});
+        for (PayloadRows &rows : out.payload) {
+            rows.pair_pixels.assign(static_cast<std::size_t>(n) * n, 0);
+            rows.self_pixels.assign(n, 0);
+            rows.subimage_pixels.assign(n, 0);
+        }
+        std::size_t tiles = static_cast<std::size_t>(ctx.grid.tileCount());
+        touched.assign(n * tiles, 0);
+        // Worker g writes only subs[g], the stats slots of its own draws,
+        // row g of every payload mode and row g of touched. ctx is aliased
+        // only for the immutable cfg/grid/trace/viewport inputs; workers
+        // never reach ctx.tracer.
+        globalPool().parallelFor(n, [&](std::size_t gi) {
+            unsigned g = static_cast<unsigned>(gi);
+            subs[g].reset(clear_color, clear_z);
+            for (std::uint32_t k = 0; k < count; ++k) {
+                if (out.assignment[k] != g)
+                    continue;
+                const DrawCommand &cmd =
+                    ctx.trace.draws[group.first_draw + k];
+                out.draw_stats[k] =
+                    renderDraw(subs[g], ctx.vp, ctx.drawInput(cmd));
+            }
+            countPayload(g, out.payload, &touched[g * tiles]);
+        });
+
+        out.merged_tiles.clear();
+        for (std::size_t tile = 0; tile < tiles; ++tile)
+            for (unsigned g = 0; g < n; ++g)
+                if (touched[g * tiles + tile]) {
+                    out.merged_tiles.push_back(
+                        static_cast<std::uint32_t>(tile));
+                    break;
+                }
+    }
+
+    /**
+     * Count GPU @p g's composition payload into row g of @p payload under
+     * every CompPayload mode, and flag in @p written the tiles in which
+     * its sub-image holds a written pixel. Untouched 64x64 tiles are
+     * filtered out entirely (Section VI-C: "we also filter out the screen
+     * tiles that are not rendered by any draw command"); within a touched
+     * tile the payload moves at DMA-burst granularity by default — any
+     * 8x8 sub-tile containing a written pixel is transferred whole. This
+     * sits between idealized per-pixel masking and naive whole-tile
      * transfers, matching how ROPs move compressed tile storage. The
      * sub-tiles are the sub-images' 8x8 written-mask blocks, so every count
      * comes from the masks.
      */
     void
-    countPayload(unsigned g, CompositionJob &job) const
+    countPayload(unsigned g,
+                 std::array<PayloadRows, compPayloadModes> &payload,
+                 std::uint8_t *written) const
     {
         unsigned n = ctx.cfg.num_gpus;
-        CompPayload payload = ctx.cfg.comp_payload;
         int width = ctx.vp.width;
         int height = ctx.vp.height;
         const Surface &sub = subs[g];
         for (int tile = 0; tile < ctx.grid.tileCount(); ++tile) {
             TileBlocks tb = blocksOf(tile);
-            std::uint64_t px = 0;
-            bool touched = false;
+            std::array<std::uint64_t, compPayloadModes> px{};
+            bool any = false;
             for (int by = tb.by0; by < tb.by1; ++by) {
                 for (int bx = tb.bx0; bx < tb.bx1; ++bx) {
                     std::uint64_t mask =
                         sub.blockMask(by * sub.blocksX() + bx);
                     if (mask == 0)
                         continue;
-                    touched = true;
-                    if (payload == CompPayload::WrittenPixels) {
-                        px += static_cast<std::uint64_t>(std::popcount(mask));
-                    } else if (payload == CompPayload::SubTiles) {
-                        int x0 = bx * Surface::blockEdge;
-                        int y0 = by * Surface::blockEdge;
-                        px += static_cast<std::uint64_t>(
-                                  std::min(Surface::blockEdge, width - x0)) *
-                              static_cast<std::uint64_t>(
-                                  std::min(Surface::blockEdge, height - y0));
-                    }
+                    any = true;
+                    int x0 = bx * Surface::blockEdge;
+                    int y0 = by * Surface::blockEdge;
+                    px[static_cast<std::size_t>(
+                        CompPayload::WrittenPixels)] +=
+                        static_cast<std::uint64_t>(std::popcount(mask));
+                    px[static_cast<std::size_t>(CompPayload::SubTiles)] +=
+                        static_cast<std::uint64_t>(
+                            std::min(Surface::blockEdge, width - x0)) *
+                        static_cast<std::uint64_t>(
+                            std::min(Surface::blockEdge, height - y0));
                 }
             }
-            if (!touched)
+            if (!any)
                 continue;
-            if (payload == CompPayload::FullTiles)
-                px = static_cast<std::uint64_t>(ctx.grid.pixelsInTile(tile));
+            written[tile] = 1;
+            px[static_cast<std::size_t>(CompPayload::FullTiles)] =
+                static_cast<std::uint64_t>(ctx.grid.pixelsInTile(tile));
             GpuId owner = ctx.grid.ownerOfTile(tile % ctx.grid.tilesX(),
                                                tile / ctx.grid.tilesX());
-            job.subimage_pixels[g] += px;
-            if (owner == g)
-                job.self_pixels[g] += px;
-            else
-                job.pair_pixels[static_cast<std::size_t>(g) * n + owner] +=
-                    px;
+            for (std::size_t m = 0; m < compPayloadModes; ++m) {
+                PayloadRows &rows = payload[m];
+                rows.subimage_pixels[g] += px[m];
+                if (owner == g)
+                    rows.self_pixels[g] += px[m];
+                else
+                    rows.pair_pixels[static_cast<std::size_t>(g) * n +
+                                     owner] += px[m];
+            }
         }
     }
 
@@ -317,8 +399,7 @@ struct ChopinRun
      * ascending GPU order: tiles are disjoint pixel sets (and, with tile
      * sizes a multiple of 8, disjoint mask words of the target), and each
      * pixel still folds the sub-images in ascending GPU order, so the
-     * result (and each dirty flag, single-writer per tile) is
-     * schedule-invariant.
+     * result is schedule-invariant.
      */
     void
     selectOpaque(const CompositionGroup &group)
@@ -327,7 +408,6 @@ struct ChopinRun
         DepthFunc eff_func =
             group.depth_test ? group.depth_func : DepthFunc::Always;
         Surface &target = ctx.rts[group.render_target];
-        std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
         bool write_depth = group.depth_test && group.depth_write;
         globalPool().parallelFor(
             static_cast<std::size_t>(ctx.grid.tileCount()),
@@ -344,7 +424,6 @@ struct ChopinRun
                                 sub.blockMask(by * sub.blocksX() + bx);
                             if (mask == 0)
                                 continue;
-                            dirty[tile] = 1;
                             forEachWritten(mask, bx, by, [&](int x, int y,
                                                              int) {
                                 OpaquePixel in{sub.color().at(x, y),
@@ -378,7 +457,6 @@ struct ChopinRun
         unsigned n = ctx.cfg.num_gpus;
         BlendOp op = group.blend_op;
         Surface &target = ctx.rts[group.render_target];
-        std::vector<std::uint8_t> &dirty = ctx.rt_dirty[group.render_target];
         const Color identity = transparentIdentity(op);
         globalPool().parallelFor(
             static_cast<std::size_t>(ctx.grid.tileCount()),
@@ -397,7 +475,6 @@ struct ChopinRun
                         }
                         if (any == 0)
                             continue;
-                        dirty[tile] = 1;
                         forEachWritten(any, bx, by, [&](int x, int y,
                                                         int bit) {
                             Color merged = identity;
@@ -417,14 +494,18 @@ struct ChopinRun
     }
 };
 
-} // namespace
-
-FrameResult
-runChopin(const SystemConfig &cfg, const FrameTrace &trace,
-          const ChopinOptions &opts, Tracer *tracer, Image *image)
+/**
+ * One CHOPIN pass over the frame, recording into or replaying from @p log
+ * when one is given. A replay returns nullopt on the first distributed
+ * group whose assignment differs from the log's.
+ */
+std::optional<FrameResult>
+chopinPass(const SystemConfig &cfg, const FrameTrace &trace,
+           const ChopinOptions &opts, Tracer *tracer, Image *image,
+           FunctionalLog *log)
 {
     SimContext ctx(cfg, trace, opts.ideal ? LinkParams::ideal() : cfg.link,
-                   tracer);
+                   tracer, log);
     ChopinRun run(ctx, opts);
 
     std::vector<CompositionGroup> groups = formGroups(trace);
@@ -439,8 +520,12 @@ runChopin(const SystemConfig &cfg, const FrameTrace &trace,
         }
         groups_distributed += 1;
         tris_distributed += group.triangles;
-        run.runDistributed(group);
+        if (!run.runDistributed(group))
+            return std::nullopt;
     }
+    CHOPIN_CHECK(!ctx.replaying || run.replay_group == log->groups.size(),
+                 "a replay consumed ", run.replay_group, " of ",
+                 log->groups.size(), " logged groups");
 
     Tick end = std::max(run.t, ctx.maxPipeFinish());
     Scheme scheme = Scheme::Chopin;
@@ -460,35 +545,54 @@ runChopin(const SystemConfig &cfg, const FrameTrace &trace,
     return r;
 }
 
+} // namespace
+
+FrameResult
+runChopin(const SystemConfig &cfg, const FrameTrace &trace,
+          const ChopinOptions &opts, Tracer *tracer, Image *image,
+          FunctionalLog *log)
+{
+    if (log != nullptr && log->recorded) {
+        if (std::optional<FrameResult> r =
+                chopinPass(cfg, trace, opts, tracer, image, log))
+            return std::move(*r);
+        // This run schedules a group differently from the recording run,
+        // so the log does not hold its sub-images: render fresh.
+        log = nullptr;
+    }
+    return chopinPass(cfg, trace, opts, tracer, image, log).value();
+}
+
 FrameResult
 runScheme(Scheme scheme, const SystemConfig &cfg, const FrameTrace &trace,
-          Tracer *tracer, Image *image)
+          Tracer *tracer, Image *image, FunctionalLog *log)
 {
     switch (scheme) {
       case Scheme::SingleGpu:
+        CHOPIN_CHECK(log == nullptr, "SingleGpu joins no functional family");
         return runSingleGpu(cfg, trace, tracer, image);
       case Scheme::Duplication:
-        return runDuplication(cfg, trace, tracer, image);
+        return runDuplication(cfg, trace, tracer, image, log);
       case Scheme::Gpupd:
-        return runGpupd(cfg, trace, false, tracer, image);
+        return runGpupd(cfg, trace, false, tracer, image, log);
       case Scheme::GpupdIdeal:
-        return runGpupd(cfg, trace, true, tracer, image);
+        return runGpupd(cfg, trace, true, tracer, image, log);
       case Scheme::ChopinRoundRobin:
         return runChopin(cfg, trace,
                          {DrawPolicy::RoundRobin, false, false}, tracer,
-                         image);
+                         image, log);
       case Scheme::Chopin:
         return runChopin(cfg, trace,
                          {DrawPolicy::FewestRemaining, false, false},
-                         tracer, image);
+                         tracer, image, log);
       case Scheme::ChopinCompSched:
         return runChopin(cfg, trace,
                          {DrawPolicy::FewestRemaining, true, false},
-                         tracer, image);
+                         tracer, image, log);
       case Scheme::ChopinIdeal:
         return runChopin(cfg, trace,
                          {DrawPolicy::FewestRemaining, true, true},
-                         tracer, image);
+                         tracer, image, log);
     }
     CHOPIN_CHECK(false, "unknown scheme ", static_cast<int>(scheme));
 }

@@ -11,11 +11,13 @@ namespace chopin
 {
 
 SimContext::SimContext(const SystemConfig &config, const FrameTrace &frame,
-                       const LinkParams &link, Tracer *trace_sink)
+                       const LinkParams &link, Tracer *trace_sink,
+                       FunctionalLog *functional_log)
     : cfg(config), trace(frame), vp(frame.viewport),
       grid(vp.width, vp.height, config.num_gpus, config.tile_size,
            config.tile_assignment),
-      net(config.num_gpus, link), tracer(trace_sink)
+      net(config.num_gpus, link), tracer(trace_sink), log(functional_log),
+      replaying(functional_log != nullptr && functional_log->recorded)
 {
     CHOPIN_CHECK(cfg.num_gpus >= 1 && cfg.num_gpus <= maxGpus,
                  "num_gpus must be in [1, ", maxGpus, "], got ", cfg.num_gpus);
@@ -35,13 +37,22 @@ SimContext::SimContext(const SystemConfig &config, const FrameTrace &frame,
         net.setTracer(tracer);
     }
 
+    CHOPIN_CHECK(!replaying || tracer == nullptr,
+                 "a replay from a functional log takes no tracer");
+    CHOPIN_CHECK(log == nullptr || replaying ||
+                     (log->draws.empty() && log->groups.empty()),
+                 "a functional log records one run");
+
+    rt_dirty.resize(trace.num_render_targets);
+    for (std::vector<std::uint8_t> &dirty : rt_dirty)
+        dirty.assign(static_cast<std::size_t>(grid.tileCount()), 0);
+    if (replaying)
+        return;
     SurfaceCache &cache = threadRenderScratch().surfaces;
     rts.reserve(trace.num_render_targets);
-    rt_dirty.resize(trace.num_render_targets);
     for (std::uint32_t r = 0; r < trace.num_render_targets; ++r) {
         rts.push_back(cache.take(vp.width, vp.height));
         rts[r].reset(trace.clear_color, trace.clear_depth);
-        rt_dirty[r].assign(static_cast<std::size_t>(grid.tileCount()), 0);
     }
 }
 
@@ -71,8 +82,58 @@ SimContext::renderPartitioned(const DrawCommand &cmd,
                               GeometryCharging charging)
 {
     std::uint32_t rt = cmd.state.render_target;
-    return renderDrawPartitioned(rts[rt], vp, drawInput(cmd), grid, charging,
-                                 &rt_dirty[rt]);
+    PartitionedDraw part;
+    if (replaying) {
+        CHOPIN_CHECK(replay_draw < log->draws.size() &&
+                         log->draws[replay_draw].id == cmd.id,
+                     "draw ", cmd.id, " is not the next logged draw");
+        const LoggedDraw &logged = log->draws[replay_draw++];
+        for (std::uint32_t t : logged.touched_tiles)
+            rt_dirty[rt][t] = 1;
+        part = logged.part;
+    } else if (log == nullptr) {
+        part = renderDrawPartitioned(rts[rt], vp, drawInput(cmd), grid,
+                                     GeometryCharging::Duplicated,
+                                     &rt_dirty[rt]);
+    } else {
+        // Touched tiles are logged per draw: a scheme may render draws
+        // ahead of the render-target switches between them (GPUpd renders
+        // a whole batch first), and a replay must flag them at the same
+        // point of its own schedule.
+        std::vector<std::uint8_t> touched(
+            static_cast<std::size_t>(grid.tileCount()), 0);
+        LoggedDraw rec;
+        rec.id = cmd.id;
+        rec.part = renderDrawPartitioned(rts[rt], vp, drawInput(cmd), grid,
+                                         GeometryCharging::Duplicated,
+                                         &touched);
+        for (std::size_t t = 0; t < touched.size(); ++t) {
+            if (!touched[t])
+                continue;
+            rec.touched_tiles.push_back(static_cast<std::uint32_t>(t));
+            rt_dirty[rt][t] = 1;
+        }
+        part = rec.part;
+        log->draws.push_back(std::move(rec));
+    }
+    if (charging == GeometryCharging::OwnersOnly)
+        chargeOwnersOnly(part);
+    return part;
+}
+
+void
+chargeOwnersOnly(PartitionedDraw &part)
+{
+    for (std::size_t g = 0; g < part.per_gpu.size(); ++g) {
+        DrawStats &s = part.per_gpu[g];
+        std::uint64_t owned = part.owned_tris[g];
+        CHOPIN_DCHECK(s.tris_rasterized <= owned);
+        s.verts_shaded = 3 * owned;
+        s.tris_in = owned;
+        s.tris_clipped = 0;
+        s.tris_culled = owned - s.tris_rasterized;
+        s.tris_coarse_rejected = 0;
+    }
 }
 
 void
@@ -87,7 +148,7 @@ SimContext::submitPartitioned(DrawId id, const PartitionedDraw &part, Tick t)
 Tick
 SimContext::syncBroadcast(std::uint32_t rt, Tick now)
 {
-    CHOPIN_CHECK(rt < rts.size());
+    CHOPIN_CHECK(rt < rt_dirty.size());
     if (cfg.num_gpus == 1 || rt == 0) {
         // The back buffer (render target 0) is scanned out, never sampled
         // mid-frame; only intermediate render targets (shadow maps, bloom
@@ -197,8 +258,27 @@ SimContext::finish(Scheme scheme, Tick end, Image *image)
     if (!pipes.empty())
         r.draw_timings = pipes[0].drawTimings();
     r.retained_culled = retained_culled;
+    if (replaying) {
+        CHOPIN_CHECK(image == nullptr, "a replay renders no image");
+        CHOPIN_CHECK(log->cls == functionalClass(scheme),
+                     toString(scheme), " cannot replay a log of another "
+                     "functional class");
+        CHOPIN_CHECK(replay_draw == log->draws.size(),
+                     "a replay consumed ", replay_draw, " of ",
+                     log->draws.size(), " logged draws");
+        r.frame_hash = log->frame_hash;
+        r.content_hash = log->content_hash;
+        log->replays += 1;
+        return r;
+    }
     r.frame_hash = frameHash(rts[0].color());
     r.content_hash = rts[0].contentHashFrom(r.frame_hash);
+    if (log != nullptr) {
+        log->cls = functionalClass(scheme);
+        log->frame_hash = r.frame_hash;
+        log->content_hash = r.content_hash;
+        log->recorded = true;
+    }
     if (image != nullptr)
         *image = rts[0].takeColor();
 

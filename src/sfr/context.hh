@@ -7,6 +7,12 @@
  * to a new render target or depth buffer ... each GPU broadcasts the
  * latest content of its current render targets and depth buffers to other
  * GPUs"), and the partitioned draw that charges each GPU its own tiles.
+ *
+ * Given a FunctionalLog (sfr/functional_log.hh), a context records the
+ * partitioned draws and final hashes into an empty log, or replays them
+ * from a recorded one: a replaying context takes no render target, and
+ * renderPartitioned() and finish() read the log instead of rendering and
+ * hashing.
  */
 
 #ifndef CHOPIN_SFR_CONTEXT_HH
@@ -18,6 +24,7 @@
 #include "gfx/surface.hh"
 #include "gfx/tiles.hh"
 #include "sfr/config.hh"
+#include "sfr/functional_log.hh"
 #include "trace/draw_command.hh"
 
 namespace chopin
@@ -35,9 +42,13 @@ class SimContext
      * @param tracer optional timeline tracer (must outlive the context);
      *               wired into the interconnect and every pipeline, plus a
      *               shared "sfr.phases" track for scheme-level spans
+     * @param log    optional functional log (must outlive the context):
+     *               recorded into when empty, replayed from when recorded;
+     *               a replay takes no tracer
      */
     SimContext(const SystemConfig &cfg, const FrameTrace &trace,
-               const LinkParams &link, Tracer *tracer = nullptr);
+               const LinkParams &link, Tracer *tracer = nullptr,
+               FunctionalLog *log = nullptr);
 
     SimContext(const SimContext &) = delete;
     SimContext &operator=(const SimContext &) = delete;
@@ -54,8 +65,14 @@ class SimContext
     /** Track for scheme-phase spans (valid while tracer != nullptr). */
     Tracer::TrackId phase_track = 0;
 
+    /** Attached functional log, or nullptr. */
+    FunctionalLog *const log;
+    /** True when the run replays @ref log instead of rendering. */
+    const bool replaying;
+
     /** One surface per render target (region ownership is accounting-only;
-     *  a shared surface equals the union of the per-GPU slices). */
+     *  a shared surface equals the union of the per-GPU slices). Empty
+     *  while replaying. */
     std::vector<Surface> rts;
     /** Dirty-tile flags per render target since the last sync broadcast. */
     std::vector<std::vector<std::uint8_t>> rt_dirty;
@@ -82,7 +99,11 @@ class SimContext
     /**
      * Render @p cmd into its render target, charging each fragment to the
      * GPU that owns its tile and geometry per @p charging, and flag the
-     * tiles it writes dirty for the next broadcast.
+     * tiles it writes dirty for the next broadcast. Every run renders
+     * under GeometryCharging::Duplicated and derives OwnersOnly from it
+     * (chargeOwnersOnly), so a fresh run, a recording and a replay charge
+     * by one rule. A recording run logs the draw; a replay takes the next
+     * logged draw instead of rendering.
      */
     PartitionedDraw renderPartitioned(const DrawCommand &cmd,
                                       GeometryCharging charging);
@@ -112,7 +133,10 @@ class SimContext
      * moves into it. The render targets then go back to the calling
      * thread's surface cache (threadRenderScratch().surfaces), so rts is
      * empty afterwards. The constructor took them from that same cache; a
-     * run that throws before finish() simply drops them.
+     * run that throws before finish() simply drops them. A recording run
+     * logs the two hashes and marks the log recorded; a replay takes them
+     * from the log, checks it consumed every logged draw, and counts
+     * itself in log->replays.
      */
     FrameResult finish(Scheme scheme, Tick end, Image *image);
 
@@ -130,7 +154,18 @@ class SimContext
     /** The render target and depth buffer bind() holds bound. */
     std::uint32_t bound_rt = 0;
     std::uint32_t bound_db = 0;
+    /** The next logged draw a replay reads. */
+    std::size_t replay_draw = 0;
 };
+
+/**
+ * Re-charge @p part, a draw rendered under GeometryCharging::Duplicated,
+ * as GeometryCharging::OwnersOnly charges it. The raster counters do not
+ * depend on the charging. Under OwnersOnly a GPU transforms exactly the
+ * primitives it owns (owned_tris), and those it does not rasterize were
+ * backface-culled; nothing is clipped or coarse-rejected.
+ */
+void chargeOwnersOnly(PartitionedDraw &part);
 
 } // namespace chopin
 

@@ -17,9 +17,9 @@ namespace chopin
 
 FrameResult
 runDuplication(const SystemConfig &cfg, const FrameTrace &trace,
-               Tracer *tracer, Image *image)
+               Tracer *tracer, Image *image, FunctionalLog *log)
 {
-    SimContext ctx(cfg, trace, cfg.link, tracer);
+    SimContext ctx(cfg, trace, cfg.link, tracer, log);
 
     Tick t = 0;
     for (const DrawCommand &cmd : trace.draws) {

@@ -31,10 +31,10 @@ namespace chopin
 
 FrameResult
 runGpupd(const SystemConfig &cfg, const FrameTrace &trace, bool ideal,
-         Tracer *tracer, Image *image)
+         Tracer *tracer, Image *image, FunctionalLog *log)
 {
     SimContext ctx(cfg, trace, ideal ? LinkParams::ideal() : cfg.link,
-                   tracer);
+                   tracer, log);
     unsigned n = cfg.num_gpus;
 
     // Form draw-level batches of at least gpupd_batch_prims primitives.

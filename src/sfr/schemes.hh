@@ -11,6 +11,7 @@
 
 #include "sfr/config.hh"
 #include "sfr/draw_scheduler.hh"
+#include "sfr/functional_log.hh"
 #include "trace/draw_command.hh"
 #include "util/image.hh"
 
@@ -27,6 +28,16 @@ namespace chopin
  *    is moved into it; when nullptr (the default), the render target goes
  *    back to the thread's surface cache for the next run.
  * Neither changes the returned FrameResult.
+ *
+ * The partitioned and CHOPIN runners also take an optional functional log
+ * (sfr/functional_log.hh): an empty one records the run's functional
+ * results, a recorded one replays them under this run's live timing. A
+ * replay returns the FrameResult a fresh run would; it takes no tracer
+ * and no image. Only SweepRunner::prefetch passes a log. Unlike the
+ * tracer, the log is not free when absent: every run takes the path a
+ * recording takes, so GPUpd re-charges each draw from Duplicated and
+ * CHOPIN counts each distributed group's payload under all three
+ * CompPayload modes (DESIGN.md §9.4).
  */
 
 /** Single-GPU in-order rendering: oracle image + normalization baseline. */
@@ -35,14 +46,14 @@ FrameResult runSingleGpu(const SystemConfig &cfg, const FrameTrace &trace,
 
 /** Conventional SFR: every GPU processes every primitive (Section III-A). */
 FrameResult runDuplication(const SystemConfig &cfg, const FrameTrace &trace,
-                           Tracer *tracer = nullptr,
-                           Image *image = nullptr);
+                           Tracer *tracer = nullptr, Image *image = nullptr,
+                           FunctionalLog *log = nullptr);
 
 /** GPUpd (Kim et al., MICRO 2017) with batching and runahead; @p ideal uses
  *  zero-latency infinite-bandwidth links (Fig. 5's idealization). */
 FrameResult runGpupd(const SystemConfig &cfg, const FrameTrace &trace,
                      bool ideal, Tracer *tracer = nullptr,
-                     Image *image = nullptr);
+                     Image *image = nullptr, FunctionalLog *log = nullptr);
 
 /** CHOPIN variant selection. */
 struct ChopinOptions
@@ -52,15 +63,18 @@ struct ChopinOptions
     bool ideal = false;
 };
 
-/** CHOPIN (Section IV). */
+/** CHOPIN (Section IV). A replay compares each distributed group's
+ *  assignment with the log's; on the first mismatch it drops the replay
+ *  and runs fresh. */
 FrameResult runChopin(const SystemConfig &cfg, const FrameTrace &trace,
                       const ChopinOptions &opts, Tracer *tracer = nullptr,
-                      Image *image = nullptr);
+                      Image *image = nullptr, FunctionalLog *log = nullptr);
 
-/** Dispatch by Scheme enum (SingleGpu forces num_gpus = 1). */
+/** Dispatch by Scheme enum (SingleGpu forces num_gpus = 1 and takes no
+ *  log). */
 FrameResult runScheme(Scheme scheme, const SystemConfig &cfg,
                       const FrameTrace &trace, Tracer *tracer = nullptr,
-                      Image *image = nullptr);
+                      Image *image = nullptr, FunctionalLog *log = nullptr);
 
 } // namespace chopin
 

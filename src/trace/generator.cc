@@ -520,7 +520,9 @@ FrameTrace
 generateBenchmark(const std::string &name, int scale_divisor)
 {
     const BenchmarkProfile &p = benchmarkProfile(name);
-    if (scale_divisor <= 1)
+    CHOPIN_CHECK(scale_divisor >= 1, "scale divisor must be >= 1, got ",
+                 scale_divisor);
+    if (scale_divisor == 1)
         return generateTrace(p);
     return generateTrace(scaleProfile(p, scale_divisor));
 }
@@ -613,7 +615,9 @@ generateBenchmarkSequence(const std::string &name, int scale_divisor,
                           const SequenceParams &params)
 {
     const BenchmarkProfile &p = benchmarkProfile(name);
-    if (scale_divisor <= 1)
+    CHOPIN_CHECK(scale_divisor >= 1, "scale divisor must be >= 1, got ",
+                 scale_divisor);
+    if (scale_divisor == 1)
         return generateSequence(p, params);
     return generateSequence(scaleProfile(p, scale_divisor), params);
 }

@@ -33,7 +33,11 @@ namespace chopin
 /** Generate the frame trace for @p profile. Deterministic in profile.seed. */
 FrameTrace generateTrace(const BenchmarkProfile &profile);
 
-/** Convenience: generate a benchmark by name at a given scale divisor. */
+/** The largest scale divisor a tool accepts for --scale. */
+inline constexpr long maxScaleDivisor = 1000000;
+
+/** Convenience: generate a benchmark by name at a given scale divisor
+ *  (>= 1; 1 = full Table III size). */
 FrameTrace generateBenchmark(const std::string &name, int scale_divisor = 1);
 
 /** Shape of a generated frame sequence (trace/sequence.hh). */

@@ -1,5 +1,6 @@
 #include "util/cli.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -82,20 +83,21 @@ CommandLine::getInt(const std::string &name) const
 {
     const Flag &f = find(name);
     char *end = nullptr;
+    errno = 0;
     long v = std::strtol(f.value.c_str(), &end, 10);
     CHOPIN_CHECK(!f.value.empty() && *end == '\0', "flag --", name,
                  " expects an integer, got '", f.value, "'");
+    CHOPIN_CHECK(errno != ERANGE, "flag --", name, " is out of range, got '",
+                 f.value, "'");
     return v;
 }
 
-double
-CommandLine::getDouble(const std::string &name) const
+long
+CommandLine::getIntIn(const std::string &name, long lo, long hi) const
 {
-    const Flag &f = find(name);
-    char *end = nullptr;
-    double v = std::strtod(f.value.c_str(), &end);
-    CHOPIN_CHECK(!f.value.empty() && *end == '\0', "flag --", name,
-                 " expects a number, got '", f.value, "'");
+    long v = getInt(name);
+    CHOPIN_CHECK(v >= lo && v <= hi, "--", name, " must be in [", lo, ", ",
+                 hi, "], got ", v);
     return v;
 }
 

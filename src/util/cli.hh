@@ -36,11 +36,13 @@ class CommandLine
     void parse(int argc, char **argv);
 
     /** Accessors. Each fails a check if @p name was never registered, and
-     *  getInt/getDouble/getBool if the value is empty or does not parse
-     *  whole. */
+     *  getInt/getBool if the value is empty, does not parse whole, or
+     *  (getInt) lies outside the type's range. */
     std::string getString(const std::string &name) const;
     long getInt(const std::string &name) const;
-    double getDouble(const std::string &name) const;
+    /** getInt(), and a check that the value lies in [@p lo, @p hi], so
+     *  every tool, harness and example words a bad value the same way. */
+    long getIntIn(const std::string &name, long lo, long hi) const;
     bool getBool(const std::string &name) const;
 
     /** Positional (non-flag) arguments in order. */

@@ -5,14 +5,22 @@
  * drain, then broadcasts each owner's dirty tiles of the old render target
  * to the other GPUs as sync traffic. The back buffer, and any render
  * target of a one-GPU system, broadcasts nothing.
+ *
+ * chargeOwnersOnly, the one rule by which SimContext charges GPUpd's
+ * partitioned draws: it must agree with the renderer's own OwnersOnly
+ * charging, which stays in gfx as the reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "sfr/context.hh"
+#include "stats/metrics.hh"
+#include "trace/generator.hh"
+#include "util/thread_pool.hh"
 
 namespace chopin
 {
@@ -208,6 +216,105 @@ TEST(SimContextBind, OneGpuMovesNothing)
     EXPECT_EQ(ctx.breakdown.sync, 0u);
     EXPECT_FALSE(anyDirty(ctx.rt_dirty[1]));
 }
+
+/** One OwnersOnlyCharging case: GPUs sharing the screen, host pool jobs
+ *  (the cases of gfx's PartitionTest). */
+struct ChargingCase
+{
+    unsigned gpus = 1;
+    unsigned jobs = 1;
+};
+
+/** Test-name suffix: the GPU count, plus the job count when not 1. */
+void
+PrintTo(const ChargingCase &c, std::ostream *os)
+{
+    *os << c.gpus;
+    if (c.jobs != 1)
+        *os << "_jobs" << c.jobs;
+}
+
+class OwnersOnlyCharging : public ::testing::TestWithParam<ChargingCase>
+{
+  protected:
+    void SetUp() override { setGlobalJobs(GetParam().jobs); }
+    void TearDown() override { setGlobalJobs(1); }
+};
+
+TEST_P(OwnersOnlyCharging, DerivedFromDuplicatedMatchesTheOwnersOnlyRender)
+{
+    // Every draw of a real frame, on every render target, rendered once
+    // under Duplicated and re-charged, and once under OwnersOnly.
+    unsigned n = GetParam().gpus;
+    FrameTrace trace = generateBenchmark("wolf", 32);
+    Viewport vp = trace.viewport;
+    TileGrid grid(vp.width, vp.height, n);
+    std::size_t tiles = static_cast<std::size_t>(grid.tileCount());
+    std::vector<Surface> dup_rts;
+    std::vector<Surface> owners_rts;
+    for (std::uint32_t r = 0; r < trace.num_render_targets; ++r) {
+        dup_rts.emplace_back(vp.width, vp.height);
+        dup_rts.back().clear(trace.clear_color, trace.clear_depth);
+        owners_rts.emplace_back(vp.width, vp.height);
+        owners_rts.back().clear(trace.clear_color, trace.clear_depth);
+    }
+
+    std::uint64_t culled = 0;
+    std::uint64_t clipped = 0;
+    for (const DrawCommand &cmd : trace.draws) {
+        auto input = [&](const std::vector<Surface> &rts) {
+            DrawInput in;
+            in.triangles = cmd.triangles;
+            in.mvp = trace.view_proj * cmd.model;
+            in.state = cmd.state;
+            in.draw_id = cmd.id;
+            in.alpha_ref = cmd.alpha_ref;
+            in.backface_cull = cmd.backface_cull;
+            if (cmd.texture_rt >= 0)
+                in.texture =
+                    &rts[static_cast<std::size_t>(cmd.texture_rt)].color();
+            return in;
+        };
+        std::uint32_t rt = cmd.state.render_target;
+        std::vector<std::uint8_t> dup_touched(tiles, 0);
+        std::vector<std::uint8_t> owners_touched(tiles, 0);
+        PartitionedDraw derived = renderDrawPartitioned(
+            dup_rts[rt], vp, input(dup_rts), grid,
+            GeometryCharging::Duplicated, &dup_touched);
+        for (const DrawStats &s : derived.per_gpu) {
+            culled += s.tris_culled;
+            clipped += s.tris_clipped;
+        }
+        chargeOwnersOnly(derived);
+        PartitionedDraw owners = renderDrawPartitioned(
+            owners_rts[rt], vp, input(owners_rts), grid,
+            GeometryCharging::OwnersOnly, &owners_touched);
+
+        ASSERT_EQ(derived.per_gpu.size(), n);
+        ASSERT_EQ(owners.per_gpu.size(), n);
+        EXPECT_EQ(derived.owned_tris, owners.owned_tris) << "draw " << cmd.id;
+        for (unsigned g = 0; g < n; ++g)
+            EXPECT_TRUE(metricsEqual(derived.per_gpu[g], owners.per_gpu[g]))
+                << "draw " << cmd.id << ", GPU " << g << ": "
+                << ::testing::PrintToString(
+                       metricsDiff(derived.per_gpu[g], owners.per_gpu[g]));
+        EXPECT_EQ(dup_touched, owners_touched) << "draw " << cmd.id;
+    }
+    // The frame has primitives of both kinds the re-charge rewrites.
+    EXPECT_GT(culled, 0u);
+    EXPECT_GT(clipped, 0u);
+    for (std::uint32_t r = 0; r < trace.num_render_targets; ++r)
+        EXPECT_EQ(dup_rts[r].contentHash(), owners_rts[r].contentHash())
+            << "render target " << r;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GpuCounts, OwnersOnlyCharging,
+    ::testing::Values(ChargingCase{1, 1}, ChargingCase{2, 1},
+                      ChargingCase{3, 1}, ChargingCase{4, 1},
+                      ChargingCase{8, 1}, ChargingCase{1, 4},
+                      ChargingCase{2, 4}, ChargingCase{3, 4},
+                      ChargingCase{4, 4}, ChargingCase{8, 4}));
 
 } // namespace
 } // namespace chopin

@@ -57,7 +57,6 @@ makeCli()
     CommandLine cli("test tool");
     cli.addFlag("count", "3", "a number");
     cli.addFlag("name", "abc", "a string");
-    cli.addFlag("ratio", "0.5", "a double");
     cli.addFlag("verbose", "false", "a bool");
     return cli;
 }
@@ -69,19 +68,16 @@ TEST(CommandLine, DefaultsApply)
     cli.parse(a.argc(), a.argv());
     EXPECT_EQ(cli.getInt("count"), 3);
     EXPECT_EQ(cli.getString("name"), "abc");
-    EXPECT_DOUBLE_EQ(cli.getDouble("ratio"), 0.5);
     EXPECT_FALSE(cli.getBool("verbose"));
 }
 
 TEST(CommandLine, EqualsForm)
 {
     CommandLine cli = makeCli();
-    Argv a({"prog", "--count=7", "--name=xyz", "--ratio=1.25",
-            "--verbose=true"});
+    Argv a({"prog", "--count=7", "--name=xyz", "--verbose=true"});
     cli.parse(a.argc(), a.argv());
     EXPECT_EQ(cli.getInt("count"), 7);
     EXPECT_EQ(cli.getString("name"), "xyz");
-    EXPECT_DOUBLE_EQ(cli.getDouble("ratio"), 1.25);
     EXPECT_TRUE(cli.getBool("verbose"));
 }
 
@@ -143,24 +139,36 @@ TEST(CommandLine, MalformedArgumentsFailChecks)
 {
     // An empty numeric value is rejected, not read as 0.
     CommandLine empty = makeCli();
-    Argv a({"prog", "--count=", "--ratio="});
+    Argv a({"prog", "--count="});
     empty.parse(a.argc(), a.argv());
     EXPECT_EQ(failureOf([&] { empty.getInt("count"); }),
               "flag --count expects an integer, got ''");
-    EXPECT_EQ(failureOf([&] { empty.getDouble("ratio"); }),
-              "flag --ratio expects a number, got ''");
 
     CommandLine cli = makeCli();
-    Argv b({"prog", "--count=12x", "--ratio=half", "--verbose=yes"});
+    Argv b({"prog", "--count=12x", "--verbose=yes"});
     cli.parse(b.argc(), b.argv());
     EXPECT_EQ(failureOf([&] { cli.getInt("count"); }),
               "flag --count expects an integer, got '12x'");
-    EXPECT_EQ(failureOf([&] { cli.getDouble("ratio"); }),
-              "flag --ratio expects a number, got 'half'");
     EXPECT_EQ(failureOf([&] { cli.getBool("verbose"); }),
               "flag --verbose expects true/false, got 'yes'");
     EXPECT_EQ(failureOf([&] { cli.getString("colour"); }),
               "flag --colour was never registered");
+
+    // A number outside the type's range is rejected as typed, not
+    // clamped to a value the user never wrote.
+    CommandLine huge = makeCli();
+    Argv d({"prog", "--count=99999999999999999999"});
+    huge.parse(d.argc(), d.argv());
+    EXPECT_EQ(failureOf([&] { huge.getInt("count"); }),
+              "flag --count is out of range, got '99999999999999999999'");
+
+    // getIntIn adds the caller's bounds.
+    CommandLine bounded = makeCli();
+    Argv e({"prog", "--count=0"});
+    bounded.parse(e.argc(), e.argv());
+    EXPECT_EQ(failureOf([&] { bounded.getIntIn("count", 1, 64); }),
+              "--count must be in [1, 64], got 0");
+    EXPECT_EQ(bounded.getIntIn("count", 0, 0), 0);
 
     CommandLine trailing = makeCli();
     Argv c({"prog", "--count"});

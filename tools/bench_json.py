@@ -16,8 +16,9 @@ Both producers share the contract: top-level `results` / `gmean_speedup` /
 `jobs_parallel`, per-result `bench, scheme, tris, ns_frame_serial,
 ns_frame_parallel, mtris_per_s, speedup, frame_hash, cycles`. sweep_all
 additionally emits the process's `peak_rss_mb` and a `cache` block (hit
-rates, per-phase counters and the cache directory's `dir_bytes`), which
-are reported when present. perf_frame additionally emits the
+rates, per-phase counters — `computed` and the `replayed` part of it
+among them — and the cache directory's `dir_bytes`), which are reported
+when present and never gated. perf_frame additionally emits the
 quad-rasterizer series (`raster_speedup`, `raster_ns_per_pixel`,
 `raster_ns_per_pixel_scalar`, `raster_pixels`, `raster_backend`,
 `raster_width`) and the frame-stream series (`stream_speedup`,
@@ -140,6 +141,7 @@ def report(data: dict) -> None:
             s = cache.get(phase)
             if s:
                 print(f"  {phase}: computed={s.get('computed', 0)} "
+                      f"replayed={s.get('replayed', 0)} "
                       f"memo={s.get('memo_hits', 0)} "
                       f"disk={s.get('disk_hits', 0)} "
                       f"rejected={s.get('disk_rejected', 0)} "

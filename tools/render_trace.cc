@@ -83,9 +83,7 @@ main(int argc, char **argv)
     const bool loaded = loadTrace(trace, cli.positional()[0]);
     CHOPIN_CHECK(loaded, "trace '", cli.positional()[0], "' rejected");
 
-    long gpus = cli.getInt("gpus");
-    CHOPIN_CHECK(gpus >= 1 && gpus <= maxGpus,
-                 "--gpus must be in [1, ", maxGpus, "], got ", gpus);
+    long gpus = cli.getIntIn("gpus", 1, maxGpus);
 
     SystemConfig cfg;
     cfg.num_gpus = static_cast<unsigned>(gpus);

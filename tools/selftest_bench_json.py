@@ -18,7 +18,8 @@ fixture dumps under tests/data/bench_json/:
                     and without the raster/stream series keys (an old
                     dump)
   run_sweep.json    a sweep_all dump: cache block with the directory's
-                    byte count, peak RSS 412.3 MB
+                    byte count and per-phase replay counts, peak RSS
+                    412.3 MB
   run_chopin.json   a perf_frame dump with named scheme rows and no
                     series keys: all-rows gmean 1.27x, CHOPIN and
                     CHOPIN+CompSched rows 1.66x
@@ -165,6 +166,8 @@ def main() -> int:
            want_exit=0, want_in_output="peak RSS: 412.3 MB")
     expect("sweep cache size reported", runTool(root, sweep),
            want_exit=0, want_in_output="directory size: 2.5 MB")
+    expect("sweep replay count reported", runTool(root, sweep),
+           want_exit=0, want_in_output="cold: computed=4 replayed=2 memo=2")
     expect("max-rss-mb accepts run_sweep",
            runTool(root, sweep, "--max-rss-mb", "800"),
            want_exit=0, want_in_output="OK: peak RSS 412.3 MB")

@@ -57,14 +57,10 @@ main(int argc, char **argv)
     cli.addFlag("out", "", "output path (default: <bench>.trace)");
     cli.parse(argc, argv);
 
-    long scale = cli.getInt("scale");
-    CHOPIN_CHECK(scale >= 1 && scale <= 1000000,
-                 "--scale must be in [1, 1000000], got ", scale);
+    long scale = cli.getIntIn("scale", 1, maxScaleDivisor);
     long seed = cli.getInt("seed");
     CHOPIN_CHECK(seed >= 0, "--seed must be non-negative, got ", seed);
-    long frames = cli.getInt("frames");
-    CHOPIN_CHECK(frames >= 1 && frames <= 100000,
-                 "--frames must be in [1, 100000], got ", frames);
+    long frames = cli.getIntIn("frames", 1, 100000);
 
     BenchmarkProfile profile = scaleProfile(
         benchmarkProfile(cli.getString("bench")), static_cast<int>(scale));
